@@ -1,9 +1,11 @@
 #include "src/core/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/faucets/central_store.hpp"
 #include "src/sched/backfill.hpp"
@@ -99,6 +101,22 @@ void parse_shaping(const ConfigSection& section, job::JobShaping& shaping) {
 }  // namespace
 
 Scenario Scenario::parse(const ConfigFile& config) {
+  // Every section a scenario may hold; a misspelled or retired section
+  // name is an error, never silently defaulted. [sweep] belongs to
+  // sweep::SweepSpec, which parses the same file.
+  static constexpr std::array<std::string_view, 10> kKnownSections = {
+      "grid",  "faults", "cluster", "workload", "trace",
+      "sweep", "market", "store",   "profile",  "live"};
+  for (const ConfigSection& section : config.all_sections()) {
+    if (std::find(kKnownSections.begin(), kKnownSections.end(),
+                  section.name()) == kKnownSections.end()) {
+      throw std::invalid_argument(
+          "unknown scenario section [" + section.name() +
+          "] (expected grid|faults|cluster|workload|trace|sweep|market|"
+          "store|profile|live)");
+    }
+  }
+
   Scenario out;
 
   const ConfigSection* grid = config.section("grid");
@@ -287,15 +305,6 @@ Scenario Scenario::parse(const ConfigFile& config) {
         std::max(0L, store_section->get_int("snapshot_every", 0)));
   }
 
-  const ConfigSection* shards = config.section("shards");
-  if (shards != nullptr) {
-    const long count = shards->get_int("count", 1);
-    if (count < 1) {
-      throw std::invalid_argument("[shards] count must be >= 1");
-    }
-    out.grid.shards = static_cast<std::size_t>(count);
-  }
-
   // [profile] — opt-in host-time profiling (DESIGN.md §12). `enabled`
   // defaults to true when the section is present; artifact paths are
   // optional (empty = keep the profile in memory only).
@@ -304,7 +313,6 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.profile.enabled = profile->get_bool("enabled", true);
     out.grid.profile.json_path = profile->get_string("json", "");
     out.grid.profile.metrics_path = profile->get_string("metrics", "");
-    out.grid.profile.chrome_path = profile->get_string("chrome", "");
   }
 
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to
@@ -422,24 +430,16 @@ void write_report_json(std::ostream& os, const GridReport& report) {
 
 void fill_checkpoint(store::Checkpoint& ckpt, GridSystem& grid, double sim_time) {
   ckpt.sim_time = sim_time;
-  ckpt.executed = grid.executed_counts();
+  ckpt.executed = grid.engine().executed();
   ckpt.state_image = encode_central_state(grid.central());
 }
 
 std::string verify_checkpoint(const store::Checkpoint& ckpt, GridSystem& grid) {
-  const std::vector<std::uint64_t> executed = grid.executed_counts();
-  if (executed.size() != ckpt.executed.size()) {
-    return "shard count mismatch: checkpoint has " +
-           std::to_string(ckpt.executed.size()) + " shards, this run has " +
-           std::to_string(executed.size());
-  }
-  for (std::size_t s = 0; s < executed.size(); ++s) {
-    if (executed[s] != ckpt.executed[s]) {
-      return "shard " + std::to_string(s) + " executed " +
-             std::to_string(executed[s]) + " events by t=" +
-             std::to_string(ckpt.sim_time) + ", checkpoint recorded " +
-             std::to_string(ckpt.executed[s]);
-    }
+  const std::uint64_t executed = grid.engine().executed();
+  if (executed != ckpt.executed) {
+    return "executed " + std::to_string(executed) + " events by t=" +
+           std::to_string(ckpt.sim_time) + ", checkpoint recorded " +
+           std::to_string(ckpt.executed);
   }
   if (encode_central_state(grid.central()) != ckpt.state_image) {
     return "central server state at t=" + std::to_string(ckpt.sim_time) +

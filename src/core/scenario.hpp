@@ -57,9 +57,6 @@
 //
 //   [sweep]                  # optional: parameter grid (see src/sweep/spec.hpp)
 //
-//   [shards]                 # optional: conservative parallel simulation
-//   count = 4                # per-shard engines on worker threads (§11)
-//
 //   [market]                 # optional: price-history retention (§5.2.1)
 //   history_capacity = 4096  # settled contracts the bounded deque keeps
 //   history_window = 86400   # how far back queries look, seconds
@@ -99,7 +96,8 @@ struct Scenario {
   std::uint64_t seed = 42;
 
   /// Parse and validate. Throws std::invalid_argument with a useful
-  /// message on unknown strategy/bidgen/billing names or missing sections.
+  /// message on unknown section, strategy, bidgen or billing names, or on
+  /// missing sections.
   static Scenario parse(const ConfigFile& config);
   static Scenario parse_string(const std::string& text);
 
@@ -133,14 +131,13 @@ void print_report(std::ostream& os, const GridReport& report);
 
 /// Render a GridReport as one deterministic JSON object (shortest
 /// round-trip number form, fixed key order). Byte-identical reports mean
-/// identical runs — the sharded determinism tests and bench_shard compare
-/// this output across shard counts.
+/// identical runs — the determinism goldens pin a digest of this output.
 void write_report_json(std::ostream& os, const GridReport& report);
 
 /// Checkpoint glue (DESIGN.md §14). fill_checkpoint captures a *paused*
-/// grid's progress fingerprint (per-shard executed counts, encoded Central
-/// Server state) into `ckpt`; the caller owns scenario_text / overrides /
-/// shards. verify_checkpoint re-checks a paused grid against a checkpoint at
+/// grid's progress fingerprint (executed-event count, encoded Central
+/// Server state) into `ckpt`; the caller owns scenario_text / overrides.
+/// verify_checkpoint re-checks a paused grid against a checkpoint at
 /// its sim_time — empty string on a byte-for-byte match, otherwise a
 /// description of the first mismatch.
 void fill_checkpoint(store::Checkpoint& ckpt, GridSystem& grid, double sim_time);

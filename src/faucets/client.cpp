@@ -124,13 +124,12 @@ void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
   spans.end_span(outcome.span, now());
   ++unplaced_;
   unplaced_ctr_->inc();
-  last_terminal_time_ = now();
   outcomes_.push_back(outcome);
 }
 
 void FaucetsClient::run_source(job::WorkloadSource& source) {
   // Called from outside the event loop: claim creation attribution so the
-  // submission timers carry this client's canonical identity.
+  // submission timers carry this client's own creation stamp.
   engine().set_current_entity(id().value());
   source_ = &source;
   login();
@@ -696,7 +695,6 @@ void FaucetsClient::handle_complete(const proto::JobCompleteNotice& msg) {
   total_payoff_ += outcome.payoff;
   ++completed_;
   completed_ctr_->inc();
-  last_terminal_time_ = now();
   context().spans().end_span(pending.root, now());
   pending_.erase(it);
   inflight_gauge_->add(-1.0);
@@ -728,7 +726,6 @@ void FaucetsClient::finish_request(RequestId request,
   outcomes_[pending.outcome_index].status = status;
   ++unplaced_;
   unplaced_ctr_->inc();
-  last_terminal_time_ = now();
   auto& spans = context().spans();
   spans.end_span(pending.rfb, now());
   spans.end_span(pending.award, now());

@@ -193,16 +193,27 @@ inline constexpr std::size_t kMonitorKindCount =
   return "?";
 }
 
-/// Canonical-order stamp attached to a trace record at record() time: the
-/// executing event's scheduling rank and creation identity (see
-/// sim::Engine). (time, rank, creator, cseq) is a shard-count-independent
-/// total order over executions, so merged views of per-shard rings sort
-/// identically no matter how the grid was partitioned.
+/// Stamp attached to a trace record at record() time: the executing event's
+/// scheduling rank and creation identity (see sim::Engine). (time, rank,
+/// creator, cseq) orders executions by what they are rather than by heap
+/// insertion order; TraceView exports in that order.
 struct TraceStamp {
   double rank = 0.0;
   std::uint64_t creator = 0;
   std::uint64_t cseq = 0;
 };
+
+/// The export order of trace records: by time, then by stamp. Records of
+/// one executing event compare equal, so a stable sort keeps their ring
+/// order.
+[[nodiscard]] inline bool export_order_less(double ta, const TraceStamp& sa,
+                                            double tb,
+                                            const TraceStamp& sb) noexcept {
+  if (ta != tb) return ta < tb;
+  if (sa.rank != sb.rank) return sa.rank < sb.rank;
+  if (sa.creator != sb.creator) return sa.creator < sb.creator;
+  return sa.cseq < sb.cseq;
+}
 
 /// One trace record: what happened, to whom, when. Trivially copyable —
 /// recording is a struct copy into the ring, never an allocation.
@@ -339,7 +350,7 @@ class TraceBuffer {
     ++head_;
   }
 
-  /// Source of canonical-order stamps (the owning engine, behind a plain
+  /// Source of export-order stamps (the owning engine, behind a plain
   /// function pointer so this header stays independent of the sim layer).
   using StampFn = TraceStamp (*)(const void*);
   void set_stamp_source(StampFn fn, const void* src) noexcept {
@@ -363,7 +374,7 @@ class TraceBuffer {
     return ring_[static_cast<std::size_t>(head_ - size() + i) & mask_];
   }
 
-  /// Canonical-order stamp of the i-th surviving event (same indexing as
+  /// Export-order stamp of the i-th surviving event (same indexing as
   /// at(); zeroed when no stamp source was wired).
   [[nodiscard]] const TraceStamp& stamp_at(std::size_t i) const noexcept {
     return stamps_[static_cast<std::size_t>(head_ - size() + i) & mask_];
@@ -414,54 +425,36 @@ class TraceBuffer {
   const void* stamp_src_ = nullptr;
 };
 
-/// A flattened, read-only view with the same read API as TraceBuffer, used
-/// by exporters that consume the merged per-shard rings of a sharded run.
-///
-/// merged() k-way-merges the surviving events of all shards' rings by the
-/// canonical order (time, stamp, ring order) — identical at every shard
-/// count, including one — and keeps the newest `capacity`: exactly the
-/// window a single ring of the same capacity would have retained, because
-/// any event inside the global last-capacity window has at most capacity
-/// same-shard events after it and therefore also survived its shard's ring.
+/// A flattened, read-only view with the same read API as TraceBuffer: the
+/// ring's surviving events sorted by (time, stamp, ring order). This is the
+/// order the trace artifacts are exported in (GridSystem::merged_trace()).
+/// The ring itself is in execution order, which breaks same-time ties by
+/// heap insertion; the stamp order names each execution by its scheduling
+/// rank and creator instead.
 class TraceView {
  public:
   TraceView() = default;
 
-  [[nodiscard]] static TraceView merged(const std::vector<const TraceBuffer*>& shards) {
-    TraceView out;
-    struct Ref {
+  explicit TraceView(const TraceBuffer& ring)
+      : total_(ring.total_recorded()), capacity_(ring.capacity()) {
+    // Sort compact keys rather than indices into the ring, so comparisons
+    // stay within one contiguous array.
+    struct Key {
       double time;
       TraceStamp stamp;
-      std::size_t shard;
       std::size_t idx;
     };
-    std::vector<Ref> order;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (shards[s] == nullptr) continue;
-      out.total_ += shards[s]->total_recorded();
-      out.capacity_ = std::max(out.capacity_, shards[s]->capacity());
-      const std::size_t n = shards[s]->size();
-      for (std::size_t i = 0; i < n; ++i) {
-        order.push_back(Ref{shards[s]->at(i).time, shards[s]->stamp_at(i), s, i});
-      }
+    const std::size_t n = ring.size();
+    std::vector<Key> order;
+    order.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      order.push_back(Key{ring.at(i).time, ring.stamp_at(i), i});
     }
-    // Records of one executing event share a stamp and live in one ring, so
-    // ring order finishes the job; the (shard, idx) fallback only orders
-    // unstamped legacy records.
-    std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.stamp.rank != b.stamp.rank) return a.stamp.rank < b.stamp.rank;
-      if (a.stamp.creator != b.stamp.creator) return a.stamp.creator < b.stamp.creator;
-      if (a.stamp.cseq != b.stamp.cseq) return a.stamp.cseq < b.stamp.cseq;
-      if (a.shard != b.shard) return a.shard < b.shard;
-      return a.idx < b.idx;
+    std::stable_sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+      return export_order_less(a.time, a.stamp, b.time, b.stamp);
     });
-    const std::size_t keep = std::min(order.size(), out.capacity_);
-    out.events_.reserve(keep);
-    for (std::size_t i = order.size() - keep; i < order.size(); ++i) {
-      out.events_.push_back(shards[order[i].shard]->at(order[i].idx));
-    }
-    return out;
+    events_.reserve(n);
+    for (const Key& k : order) events_.push_back(ring.at(k.idx));
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }

@@ -88,14 +88,21 @@ EventHandle Engine::schedule_at(SimTime when, SmallFunction fn) {
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
   rank_[s] = now_;
-  const CreationStamp st = take_creation_stamp();
-  creator_[s] = st.creator;
-  cseq_[s] = st.cseq;
+  creator_[s] = current_entity_;
+  cseq_[s] = take_cseq();
   exec_entity_[s] = current_entity_;  // timers inherit their scheduler
   pos_[s] = static_cast<std::int32_t>(heap_.size());
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | s});
   sift_up(heap_.size() - 1);
   return EventHandle{this, s, slot.generation};
+}
+
+std::uint64_t Engine::take_cseq() {
+  if (current_entity_ == kNoEntity) return orphan_seq_++;
+  if (current_entity_ >= entity_seq_.size()) {
+    entity_seq_.resize(static_cast<std::size_t>(current_entity_) + 1, 0);
+  }
+  return entity_seq_[static_cast<std::size_t>(current_entity_)]++;
 }
 
 void Engine::cancel_slot(std::uint32_t slot, std::uint32_t generation) noexcept {

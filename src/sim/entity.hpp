@@ -52,11 +52,10 @@ enum class MessageKind : std::uint8_t {
   kWatch,
   kWatchReply,
   kCustom,
-  // Broker-to-broker peering (sharded runs): an origin broker forwards an
-  // RFB round for a remote shard's servers to that shard's broker, which
-  // answers with its collected bids. Appended after kCustom so existing
-  // per-kind counter positions (and traces carrying raw kind bytes) keep
-  // their values.
+  // Reserved: these two slots carried broker-to-broker peering between
+  // simulation shards, which no longer exists, so no message uses them. They
+  // keep their places because the per-kind traffic arrays in report JSON are
+  // sized by kMessageKindCount.
   kPeerRfb,
   kPeerRfbReply,
 };

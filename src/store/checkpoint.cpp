@@ -24,9 +24,7 @@ std::string Checkpoint::encode() const {
     e.put_string(value);
   }
   e.put_f64(sim_time);
-  e.put_u64(shards);
-  e.put_u32(static_cast<std::uint32_t>(executed.size()));
-  for (const std::uint64_t n : executed) e.put_u64(n);
+  e.put_u64(executed);
   e.put_string(state_image);
   return e.take();
 }
@@ -48,9 +46,7 @@ Checkpoint Checkpoint::decode(const std::string& body) {
     out.overrides.emplace_back(std::move(flag), std::move(value));
   }
   out.sim_time = d.get_f64();
-  out.shards = d.get_u64();
-  const std::uint32_t n_shards = d.get_u32();
-  for (std::uint32_t i = 0; i < n_shards; ++i) out.executed.push_back(d.get_u64());
+  out.executed = d.get_u64();
   out.state_image = d.get_string();
   return out;
 }

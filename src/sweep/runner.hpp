@@ -31,7 +31,7 @@ struct SweepOptions {
   bool profile = false;
   /// Warm-state forking (DESIGN.md §14.3). When the spec sets
   /// [sweep] warmup_until and the sweep is eligible (grid mode, no trace,
-  /// no profiling, no shards, no durable store), each warm group — the
+  /// no profiling, no durable store), each warm group — the
   /// cells that differ only in message loss — is simulated once up to the
   /// warm-up instant, then fork(2)ed per cell, resuming each from the
   /// shared warm image. Results are byte-identical to in-process runs

@@ -53,6 +53,10 @@ class ConfigFile {
   /// First section named `name`, or nullptr.
   [[nodiscard]] const ConfigSection* section(const std::string& name) const;
   [[nodiscard]] std::size_t section_count() const noexcept { return sections_.size(); }
+  /// Every section, in file order.
+  [[nodiscard]] const std::vector<ConfigSection>& all_sections() const noexcept {
+    return sections_;
+  }
 
  private:
   std::vector<ConfigSection> sections_;

@@ -1,8 +1,7 @@
 // Whole-simulation checkpoint/restore (DESIGN.md §14): checkpoint files
 // round-trip exactly, readers reject damaged or wrong-version files, the
 // pause hook does not perturb the run, and a restore replayed from t = 0
-// passes verification and produces a byte-identical report — in the classic
-// loop and across shard counts.
+// passes verification and produces a byte-identical report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,11 +11,12 @@
 
 #include "src/core/scenario.hpp"
 #include "src/store/checkpoint.hpp"
+#include "src/store/codec.hpp"
 
 namespace faucets::core {
 namespace {
 
-std::string grid_ini(std::size_t shards) {
+std::string grid_ini() {
   std::ostringstream ini;
   // A lossy run needs the completion watchdog: a dropped JobDone would
   // otherwise strand its client and the run would never drain.
@@ -28,7 +28,6 @@ std::string grid_ini(std::size_t shards) {
         << "\ncredits = 100\nstrategy = fcfs\n";
   }
   ini << "[workload]\njobs = 120\nload = 0.7\n";
-  if (shards > 0) ini << "[shards]\ncount = " << shards << "\n";
   return ini.str();
 }
 
@@ -41,17 +40,15 @@ std::string report_json(Scenario scenario) {
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   store::Checkpoint ckpt;
   ckpt.scenario_text = "[grid]\nusers = 2\n";
-  ckpt.overrides = {{"--loss", "0.1"}, {"--shards", "4"}};
+  ckpt.overrides = {{"--loss", "0.1"}, {"--until", "9000"}};
   ckpt.sim_time = 1234.5;
-  ckpt.shards = 4;
-  ckpt.executed = {10, 20, 30, 40};
+  ckpt.executed = 100;
   ckpt.state_image = std::string("\x00\x01\x02 binary", 10);
 
   const auto back = store::Checkpoint::decode(ckpt.encode());
   EXPECT_EQ(back.scenario_text, ckpt.scenario_text);
   EXPECT_EQ(back.overrides, ckpt.overrides);
   EXPECT_EQ(back.sim_time, ckpt.sim_time);
-  EXPECT_EQ(back.shards, ckpt.shards);
   EXPECT_EQ(back.executed, ckpt.executed);
   EXPECT_EQ(back.state_image, ckpt.state_image);
 }
@@ -61,13 +58,12 @@ TEST(Checkpoint, FileRoundTripAndDamageRejection) {
   store::Checkpoint ckpt;
   ckpt.scenario_text = "[grid]\n";
   ckpt.sim_time = 7.0;
-  ckpt.executed = {42};
+  ckpt.executed = 42;
   ckpt.write_file(path);
 
   const auto back = store::Checkpoint::read_file(path);
   EXPECT_EQ(back.sim_time, 7.0);
-  ASSERT_EQ(back.executed.size(), 1u);
-  EXPECT_EQ(back.executed[0], 42u);
+  EXPECT_EQ(back.executed, 42u);
 
   // Flip a body byte: the CRC frame must reject the file.
   {
@@ -80,13 +76,38 @@ TEST(Checkpoint, FileRoundTripAndDamageRejection) {
 
   EXPECT_THROW((void)store::Checkpoint::read_file(path), std::runtime_error)
       << "missing file";
+
+  // A well-framed version-1 file (engine count + per-engine executed
+  // counts) is rejected with an error naming its version.
+  {
+    store::Encoder body;
+    body.put_u32(1);
+    body.put_string("[grid]\n");
+    body.put_u32(0);       // no overrides
+    body.put_f64(7.0);     // sim_time
+    body.put_u64(2);       // engine count
+    body.put_u32(2);
+    body.put_u64(40);      // executed, engine 0
+    body.put_u64(2);       // executed, engine 1
+    body.put_string("");   // state image
+    store::Encoder header;
+    header.put_u32(static_cast<std::uint32_t>(body.bytes().size()));
+    header.put_u32(store::crc32(body.bytes()));
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << std::string("FAUCCKP\x01", 8) << header.bytes() << body.bytes();
+  }
+  try {
+    (void)store::Checkpoint::read_file(path);
+    ADD_FAILURE() << "a version-1 checkpoint must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
-class CheckpointRestore : public testing::TestWithParam<std::size_t> {};
-
-TEST_P(CheckpointRestore, RestoredRunIsByteIdentical) {
-  const std::size_t shards = GetParam();
-  const std::string ini = grid_ini(shards);
+TEST(CheckpointRestore, RestoredRunIsByteIdentical) {
+  const std::string ini = grid_ini();
   const double pause_at = 40.0;
 
   // Reference: the uninterrupted run.
@@ -96,7 +117,6 @@ TEST_P(CheckpointRestore, RestoredRunIsByteIdentical) {
   // hook must not perturb the simulation.
   store::Checkpoint ckpt;
   ckpt.scenario_text = ini;
-  ckpt.shards = shards;
   bool captured = false;
   {
     auto scenario = Scenario::parse_string(ini);
@@ -115,8 +135,7 @@ TEST_P(CheckpointRestore, RestoredRunIsByteIdentical) {
   }
   ASSERT_TRUE(captured) << "the run ended before the checkpoint instant";
   EXPECT_EQ(ckpt.sim_time, pause_at);
-  ASSERT_FALSE(ckpt.executed.empty());
-  EXPECT_EQ(ckpt.executed.size(), shards == 0 ? 1u : shards);
+  EXPECT_GT(ckpt.executed, 0u);
 
   // Restoring run: replay from t = 0, verify the fingerprint at T, finish.
   {
@@ -140,7 +159,7 @@ TEST_P(CheckpointRestore, RestoredRunIsByteIdentical) {
   // A tampered fingerprint must fail verification and abandon the run.
   {
     store::Checkpoint bad = ckpt;
-    bad.executed[0] += 1;
+    bad.executed += 1;
     auto scenario = Scenario::parse_string(bad.scenario_text);
     const auto grid = scenario.make_grid();
     const auto source = scenario.make_source();
@@ -153,15 +172,6 @@ TEST_P(CheckpointRestore, RestoredRunIsByteIdentical) {
     EXPECT_NE(mismatch, "") << "a wrong executed count must be detected";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, CheckpointRestore,
-                         testing::Values(std::size_t{0}, std::size_t{8}),
-                         [](const auto& param_info) {
-                           return param_info.param == 0
-                                      ? std::string("classic")
-                                      : "shards" +
-                                            std::to_string(param_info.param);
-                         });
 
 }  // namespace
 }  // namespace faucets::core

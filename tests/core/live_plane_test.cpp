@@ -1,16 +1,9 @@
-// Grid-level guarantees of the live operations plane (DESIGN.md §15):
-//
-//  1. Byte-identity — turning the monitoring endpoint on must not move a
-//     single byte of the report JSON, trace JSONL, Chrome trace, or
-//     Prometheus artifact, at 1, 2, and 8 shards. The plane only reads
-//     published snapshots; the one thing it may write into the simulation
-//     (a kAlert trace record) requires an actual invariant violation, and
-//     clean runs have none.
-//  2. Zero false positives — those same clean runs finish with every online
-//     monitor at zero alerts, including the end-of-run final check.
-//  3. Chaos — a deliberately leaked reservation lease and a host-time stall
-//     both raise their monitor's alert, flip /healthz to 503, and land a
-//     kAlert record in the merged trace.
+// Grid-level guarantees of the live operations plane (DESIGN.md §15): the
+// endpoints serve during a real run, and chaos — a deliberately leaked
+// reservation lease and a host-time stall — raises the monitor's alert,
+// flips /healthz to 503, and lands a kAlert record in the exported trace.
+// Byte-identity of the artifacts with the plane on and off, and zero false
+// positives on clean runs, are pinned by tests/core/golden_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,16 +13,15 @@
 #include <vector>
 
 #include "src/core/scenario.hpp"
-#include "src/obs/exporters.hpp"
 #include "src/obs/live/plane.hpp"
 #include "src/qos/contract.hpp"
 
 namespace faucets::core {
 namespace {
 
-/// A 100-cluster grid, scaled down from the sharding acceptance scenario so
-/// six full runs stay fast: four big (64-proc) clusters for the 32..48-proc
-/// workload, 96 small ones the §5.1 filter screens out.
+/// A 100-cluster grid, scaled down from the E13 scenario so the runs stay
+/// fast: four big (64-proc) clusters for the 32..48-proc workload, 96 small
+/// ones the §5.1 filter screens out.
 std::string grid_ini() {
   std::ostringstream ini;
   ini << "[grid]\n"
@@ -63,69 +55,6 @@ std::vector<obs::TraceEvent> alert_events(const obs::TraceView& view) {
   return out;
 }
 
-struct Outputs {
-  std::string report_json;
-  std::string trace_jsonl;
-  std::string chrome;
-  std::string prometheus;
-  std::uint64_t alerts = 0;
-};
-
-Outputs run_at(const std::string& ini, std::size_t shards, bool live) {
-  Scenario scenario = Scenario::parse_string(ini);
-  scenario.grid.shards = shards;
-  if (live) {
-    scenario.grid.live.serve = true;  // ephemeral port
-    scenario.grid.live.publish_interval = 0.0;  // publish at every boundary
-  }
-  auto grid = scenario.make_grid();
-  const GridReport report = grid->run(scenario.make_requests(), /*until=*/1e9);
-
-  Outputs out;
-  if (live) {
-    EXPECT_NE(grid->live(), nullptr);
-    out.alerts = grid->live()->alerts_total();
-  } else {
-    EXPECT_EQ(grid->live(), nullptr);
-  }
-  {
-    std::ostringstream os;
-    write_report_json(os, report);
-    out.report_json = os.str();
-  }
-  {
-    std::ostringstream os;
-    obs::write_trace_jsonl(os, grid->merged_trace());
-    out.trace_jsonl = os.str();
-  }
-  {
-    std::ostringstream os;
-    obs::write_chrome_trace(os, grid->merged_spans(), grid->merged_trace(), {});
-    out.chrome = os.str();
-  }
-  {
-    std::ostringstream os;
-    obs::write_prometheus(os, grid->merged_metrics());
-    out.prometheus = os.str();
-  }
-  return out;
-}
-
-TEST(LivePlaneGrid, ServerOnAndOffAreByteIdenticalAt1_2_8Shards) {
-  const std::string ini = grid_ini();
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const Outputs off = run_at(ini, shards, /*live=*/false);
-    const Outputs on = run_at(ini, shards, /*live=*/true);
-    EXPECT_EQ(off.report_json, on.report_json) << shards << " shards";
-    EXPECT_EQ(off.trace_jsonl, on.trace_jsonl) << shards << " shards";
-    EXPECT_EQ(off.chrome, on.chrome) << shards << " shards";
-    EXPECT_EQ(off.prometheus, on.prometheus) << shards << " shards";
-    // Zero false positives on the clean golden, including the final check.
-    EXPECT_EQ(on.alerts, 0u) << shards << " shards";
-  }
-}
-
 TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
   Scenario scenario = Scenario::parse_string(grid_ini());
   scenario.grid.live.serve = true;
@@ -141,7 +70,7 @@ TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
   grid->set_pause_hook(50.0, [&] {
     const auto progress = grid->live()->handle("/progress");
     EXPECT_EQ(progress.status, 200);
-    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v1\""),
+    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v2\""),
               std::string::npos);
     EXPECT_NE(progress.body.find("\"run_active\":true"), std::string::npos);
     EXPECT_EQ(grid->live()->handle("/healthz").status, 200);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 namespace faucets::core {
 namespace {
@@ -159,6 +162,38 @@ load = 0.4
   EXPECT_TRUE(scenario.grid.brokered_submission);
   const auto report = scenario.run();
   EXPECT_EQ(report.jobs_completed + report.jobs_unplaced, 10u);
+}
+
+TEST(Scenario, UnknownSectionsRejectedByName) {
+  // A typo must not silently run with defaults, and a retired section must
+  // not be silently ignored.
+  for (const std::string section : {"workoad", "shards"}) {
+    try {
+      (void)Scenario::parse_string("[cluster]\nprocs = 4\n[" + section +
+                                   "]\njobs = 50\n");
+      ADD_FAILURE() << "[" << section << "] was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("[" + section + "]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Scenario, CommittedScenarioFilesParse) {
+  namespace fs = std::filesystem;
+  std::size_t parsed = 0;
+  for (const char* dir : {"experiments", "ci"}) {
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(FAUCETS_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() != ".ini") continue;
+      SCOPED_TRACE(entry.path().string());
+      std::ifstream in(entry.path());
+      EXPECT_NO_THROW((void)Scenario::parse(ConfigFile::parse(in)));
+      ++parsed;
+    }
+  }
+  EXPECT_GE(parsed, 4u);
 }
 
 }  // namespace

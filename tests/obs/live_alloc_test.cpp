@@ -56,14 +56,12 @@ std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-/// A plane over one fabricated shard with no server and no ticker (those
+/// A plane over a fabricated grid with no server and no ticker (those
 /// threads have their own setup allocations); publish() is driven directly
-/// the way GridSystem's loops drive it.
+/// the way GridSystem's run loop drives it.
 struct Fixture {
   MetricsRegistry metrics;
   TraceBuffer trace{256};
-  TraceBuffer alerts{64};
-  double now = 0.0;
   std::uint64_t executed = 0;
   std::unique_ptr<LivePlane> plane;
 
@@ -78,13 +76,9 @@ struct Fixture {
     config.progress = false;
     config.publish_interval = 0.0;  // every publish() captures
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &metrics;
-    sb.trace = &trace;
-    sb.now = [this] { return now; };
-    sb.executed = [this] { return executed; };
-    b.shards.push_back(std::move(sb));
-    b.alert_sink = &alerts;
+    b.metrics = &metrics;
+    b.trace = &trace;
+    b.executed = [this] { return executed; };
     b.job_counts = [](std::uint64_t& sub, std::uint64_t& comp,
                       std::uint64_t& unp) {
       sub = 10;
@@ -111,15 +105,15 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
   fx.plane->publish(0.0, false);  // first publish: schema capture allocates
   const auto before = allocations();
   for (int i = 1; i <= 10'000; ++i) {
-    fx.now = static_cast<double>(i);
+    const double now = static_cast<double>(i);
     ++fx.executed;
-    fx.trace.record(job_event(fx.now, EntityId{1},
+    fx.trace.record(job_event(now, EntityId{1},
                               TraceEventKind::kJobStarted, ClusterId{0},
                               JobId{static_cast<std::uint64_t>(i)}, UserId{2},
                               4));
     submitted.inc();
     wait.observe(static_cast<double>(i % 7));
-    fx.plane->publish(fx.now, false);
+    fx.plane->publish(now, false);
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state publish must not allocate on the simulation thread";
@@ -135,11 +129,8 @@ TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
     LiveConfig config;
     config.publish_interval = 0.0;
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &fx.metrics;
-    sb.trace = &fx.trace;
-    b.shards.push_back(std::move(sb));
-    b.alert_sink = &fx.alerts;
+    b.metrics = &fx.metrics;
+    b.trace = &fx.trace;
     b.monitors.ledger_residual = [&residual] { return residual; };
     b.monitors.leaked_leases = [](double, double, bool) {
       return std::uint64_t{0};
@@ -162,7 +153,7 @@ TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
   EXPECT_EQ(allocations(), before)
       << "monitor evaluation and alert emission must not allocate";
   EXPECT_EQ(fx.plane->alerts_total(), 2u);
-  EXPECT_EQ(fx.alerts.size(), 2u);
+  EXPECT_EQ(fx.trace.size(), 2u);
 }
 
 TEST(LiveAlloc, RegistryGrowthReCapturesSchemaOnce) {

@@ -317,13 +317,11 @@ TEST(MonitorSuite, DisabledSuiteIsInert) {
 
 // -------------------------------------------------------------- LivePlane
 
-/// A plane over one fabricated shard: its own registry + trace ring, no
-/// sockets unless `serve`.
+/// A plane over a fabricated grid: its own registry + trace ring (which
+/// also receives kAlert records), no sockets unless `serve`.
 struct PlaneFixture {
   MetricsRegistry metrics;
   TraceBuffer trace{1 << 10};
-  TraceBuffer alerts{1 << 10};
-  double now = 0.0;
   std::uint64_t executed = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -341,13 +339,9 @@ struct PlaneFixture {
     config.publish_interval = 0.0;  // every publish() call captures
     config.poll_interval_ms = 5;
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &metrics;
-    sb.trace = &trace;
-    sb.now = [this] { return now; };
-    sb.executed = [this] { return executed; };
-    b.shards.push_back(std::move(sb));
-    b.alert_sink = &alerts;
+    b.metrics = &metrics;
+    b.trace = &trace;
+    b.executed = [this] { return executed; };
     b.job_counts = [this](std::uint64_t& sub, std::uint64_t& comp,
                           std::uint64_t& unp) {
       sub = submitted;
@@ -367,7 +361,6 @@ struct PlaneFixture {
 TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.now = 10.0;
   fx.executed = 123;
   fx.plane->publish(10.0, false);
   const HttpResponse res = fx.plane->handle("/metrics");
@@ -388,18 +381,18 @@ TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
             std::string::npos);
 }
 
-TEST(LivePlane, ProgressEndpointTracksJobsAndShards) {
+TEST(LivePlane, ProgressEndpointTracksJobs) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.now = 42.0;
   fx.executed = 1000;
   fx.submitted = 30;
   fx.completed = 12;
   fx.plane->publish(42.0, false);
   const HttpResponse res = fx.plane->handle("/progress");
   EXPECT_EQ(res.status, 200);
-  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v1\""),
+  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v2\""),
             std::string::npos);
+  EXPECT_EQ(res.body.find("\"shards\""), std::string::npos) << res.body;
   EXPECT_NE(res.body.find("\"sim_time\":42"), std::string::npos) << res.body;
   EXPECT_NE(res.body.find("\"events_executed\":1000"), std::string::npos);
   EXPECT_NE(res.body.find("\"submitted\":30"), std::string::npos);
@@ -426,8 +419,8 @@ TEST(LivePlane, HealthzFlipsTo503OnViolationAndAlertLandsInSinkOnce) {
       << res.body;
   // Edge-triggered: a second violated publish adds no second trace event.
   fx.plane->publish(6.0, false);
-  ASSERT_EQ(fx.alerts.size(), 1u);
-  EXPECT_EQ(fx.alerts.at(0).kind, TraceEventKind::kAlert);
+  ASSERT_EQ(fx.trace.size(), 1u);
+  EXPECT_EQ(fx.trace.at(0).kind, TraceEventKind::kAlert);
   EXPECT_EQ(fx.plane->alerts_total(), 1u);
 }
 
@@ -489,7 +482,6 @@ TEST(LivePlane, ConcurrentScrapesDuringPublishesAreRaceFree) {
     double t = 0.0;
     while (!stop.load(std::memory_order_relaxed)) {
       t += 1.0;
-      fx.now = t;
       ++fx.executed;
       fx.trace.record(job_event(t, EntityId{1}, TraceEventKind::kJobStarted,
                                 ClusterId{0}, JobId{1}, UserId{1}, 1));
@@ -506,21 +498,16 @@ TEST(LivePlane, ConcurrentScrapesDuringPublishesAreRaceFree) {
 TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
   // Tiny thresholds so the watchdog trips within milliseconds of host time.
   MetricsRegistry metrics;
-  TraceBuffer trace{64};
-  TraceBuffer alerts{64};
+  TraceBuffer alerts{64};  // the trace ring; kAlert records land here
   LiveConfig config;
   config.serve = true;
   config.publish_interval = 0.0;
   config.poll_interval_ms = 2;
   config.monitor.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
-  ShardBinding sb;
-  sb.metrics = &metrics;
-  sb.trace = &trace;
-  sb.now = [] { return 5.0; };
-  sb.executed = [] { return std::uint64_t{1}; };
-  b.shards.push_back(std::move(sb));
-  b.alert_sink = &alerts;
+  b.metrics = &metrics;
+  b.trace = &alerts;
+  b.executed = [] { return std::uint64_t{1}; };
   LivePlane plane(config, std::move(b));
   ASSERT_TRUE(plane.serving());
 
@@ -555,21 +542,16 @@ TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   // release instant, or the queued kAlert would land in the trace ring and
   // break artifact parity for --serve runs that checkpoint.
   MetricsRegistry metrics;
-  TraceBuffer trace{64};
-  TraceBuffer alerts{64};
+  TraceBuffer alerts{64};  // the trace ring; kAlert records land here
   LiveConfig config;
   config.serve = true;
   config.publish_interval = 0.0;
   config.poll_interval_ms = 2;
   config.monitor.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
-  ShardBinding sb;
-  sb.metrics = &metrics;
-  sb.trace = &trace;
-  sb.now = [] { return 5.0; };
-  sb.executed = [] { return std::uint64_t{1}; };
-  b.shards.push_back(std::move(sb));
-  b.alert_sink = &alerts;
+  b.metrics = &metrics;
+  b.trace = &alerts;
+  b.executed = [] { return std::uint64_t{1}; };
   LivePlane plane(config, std::move(b));
   ASSERT_TRUE(plane.serving());
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -201,6 +202,62 @@ TEST(Engine, LargeCapturesFallBackToHeapAndStillRun) {
   e.schedule_at(1.0, [big, &seen] { seen = big[15]; });
   e.run();
   EXPECT_EQ(seen, 3.5);
+}
+
+// --- event identity: the (rank, creator, cseq) stamp trace records carry --
+
+TEST(Engine, PerEntityCreationCountersAreIndependent) {
+  Engine engine;
+  std::vector<Engine::ExecStamp> seen;
+  const auto record = [&] { seen.push_back(engine.exec_stamp()); };
+  engine.set_current_entity(2);
+  engine.schedule_at(1.0, record);
+  engine.set_current_entity(9);
+  engine.schedule_at(1.0, record);
+  engine.set_current_entity(2);
+  engine.schedule_at(1.0, record);
+  engine.run();
+  // Same-time events fire in insertion order; each entity counts its own
+  // creations from zero.
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].creator, 2u);
+  EXPECT_EQ(seen[0].cseq, 0u);
+  EXPECT_EQ(seen[1].creator, 9u);
+  EXPECT_EQ(seen[1].cseq, 0u);
+  EXPECT_EQ(seen[2].creator, 2u);
+  EXPECT_EQ(seen[2].cseq, 1u);
+}
+
+TEST(Engine, ExecStampFollowsExecution) {
+  Engine engine;
+  engine.set_current_entity(4);
+  Engine::ExecStamp first{};
+  Engine::ExecStamp second{};
+  engine.schedule_at(3.0, [&] {
+    first = engine.exec_stamp();
+    // Rank is the scheduling time: this creation happens at t = 3.
+    engine.schedule_at(5.0, [&] { second = engine.exec_stamp(); });
+  });
+  engine.run();
+  EXPECT_EQ(first.rank, 0.0);
+  EXPECT_EQ(first.creator, 4u);
+  EXPECT_EQ(first.cseq, 0u);
+  EXPECT_EQ(second.rank, 3.0);
+  EXPECT_EQ(second.creator, 4u);
+  EXPECT_EQ(second.cseq, 1u);
+}
+
+TEST(Engine, TimersInheritTheSchedulersAttribution) {
+  Engine engine;
+  engine.set_current_entity(6);
+  std::uint64_t inner_creator = Engine::kNoEntity;
+  engine.schedule_at(1.0, [&] {
+    // Inside entity 6's timer: creations are attributed to entity 6.
+    engine.schedule_at(2.0, [&] { inner_creator = engine.exec_stamp().creator; });
+  });
+  engine.set_current_entity(Engine::kNoEntity);
+  engine.run();
+  EXPECT_EQ(inner_creator, 6u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -63,16 +64,29 @@ TEST(ThreadPool, DestructorDrainsOutstandingWork) {
 
 TEST(ThreadPool, StealsRebalanceABlockedWorker) {
   // Submission round-robins: with 2 workers, tasks 0 and 2 land on worker
-  // 0, task 1 on worker 1. Task 0 blocks until task 2 has run — which can
-  // only happen if worker 1 steals it from worker 0's deque.
+  // 0, task 1 on worker 1. Task 0 blocks until task 2 has run. Tasks 1 and
+  // 2 are submitted only once task 0 is running, so whichever worker holds
+  // task 0 is blocked and the other can reach the remaining work only by
+  // stealing: either it stole task 0 itself, or it steals task 2 from worker
+  // 0's deque. (Submitting all three up front would race: an idle worker 0
+  // may pop task 2 first, since its own deque is LIFO, and no steal occurs.)
   ThreadPool pool(2);
   std::mutex m;
   std::condition_variable cv;
+  bool first_started = false;
   bool third_done = false;
   pool.submit([&] {
     std::unique_lock lock(m);
-    cv.wait(lock, [&] { return third_done; });
+    first_started = true;
+    cv.notify_all();
+    // Bounded so a pool that never steals fails the check below instead of
+    // deadlocking: task 2 would sit behind this task on worker 0.
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return third_done; });
   });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return first_started; });
+  }
   pool.submit([] {});
   pool.submit([&] {
     {
