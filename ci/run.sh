@@ -15,7 +15,9 @@
 # operations plane (DESIGN.md §15: scrape /metrics /healthz /progress
 # /traces/recent mid-run and schema-check them, then prove the monitoring
 # endpoint moves no bytes of the report/trace artifacts), prove a
-# checkpoint + restore finishes byte-identical, then run the engine,
+# checkpoint + restore finishes byte-identical, run the end-to-end
+# benchmark's self-test (e2ebench/run.py --self-test: every workload at 2%
+# size on both seeds, output and digest checks), then run the engine,
 # trace, and telemetry benchmarks from the optimized build and record the
 # headline figures in BENCH_engine.json / BENCH_trace.json /
 # BENCH_telemetry.json (sampling overhead must stay under 5%), record the
@@ -581,6 +583,13 @@ print(f"killed run: {len(ops)} intact WAL ops salvaged "
       f"{transfers} transfers replay to a conserved 1000.0-credit ledger")
 PY
 rm -rf "${STORE_DIR}/killed-store" "${STORE_DIR}/killed.json"
+
+echo "==> end-to-end benchmark output check (every workload at 2%, both seeds)"
+# Builds e2ebench/ from this checkout, then runs each workload instance of
+# the default and held-out seeds traced and untraced: every run's invariant
+# checks must pass and both runs must export byte-identical report JSON and
+# trace JSONL.
+python3 e2ebench/run.py --self-test
 
 if [[ "${SKIP_BENCH}" == "1" ]]; then
   echo "==> bench skipped (--skip-bench)"

@@ -1,6 +1,8 @@
 #include "src/cluster/gantt.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 
 namespace faucets::cluster {
@@ -9,89 +11,69 @@ GanttChart::GanttChart(int capacity) : capacity_(capacity) {
   if (capacity <= 0) throw std::invalid_argument("GanttChart capacity must be > 0");
 }
 
+GanttChart::StepIter GanttChart::first_after(double t) const {
+  return std::upper_bound(steps_.begin(), steps_.end(), t,
+                          [](double value, const Step& s) { return value < s.time; });
+}
+
+int GanttChart::level_before(StepIter it) const {
+  return it == steps_.begin() ? baseline_ : std::prev(it)->level;
+}
+
+void GanttChart::add(double start, double end, int procs) {
+  // Make `t` a step point (carrying the level already in force there) and
+  // return its index.
+  auto split = [this](double t) {
+    auto it = std::lower_bound(steps_.begin(), steps_.end(), t,
+                               [](const Step& s, double value) { return s.time < value; });
+    if (it == steps_.end() || it->time != t) {
+      it = steps_.insert(it, Step{t, level_before(it)});
+    }
+    return it - steps_.begin();
+  };
+  const std::ptrdiff_t lo = split(start);
+  const std::ptrdiff_t hi = split(end);  // > lo: inserting it cannot shift lo
+  const auto first = steps_.begin();
+  for (auto it = first + lo; it != first + hi; ++it) it->level += procs;
+
+  // Only the two boundaries' level changes moved; drop one that became a
+  // no-op. `hi` first, so erasing it leaves `lo` in place.
+  if (first[hi].level == level_before(first + hi)) steps_.erase(first + hi);
+  if (first[lo].level == level_before(first + lo)) steps_.erase(first + lo);
+}
+
 void GanttChart::reserve(double start, double end, int procs) {
   if (end <= start || procs <= 0) return;
-  deltas_[start] += procs;
-  deltas_[end] -= procs;
-  if (deltas_[start] == 0) deltas_.erase(start);
-  if (auto it = deltas_.find(end); it != deltas_.end() && it->second == 0) {
-    deltas_.erase(it);
-  }
-  invalidate();
+  add(start, end, procs);
 }
 
 void GanttChart::release(double start, double end, int procs) {
   if (end <= start || procs <= 0) return;
-  deltas_[start] -= procs;
-  deltas_[end] += procs;
-  if (deltas_[start] == 0) deltas_.erase(start);
-  if (auto it = deltas_.find(end); it != deltas_.end() && it->second == 0) {
-    deltas_.erase(it);
-  }
-  invalidate();
+  add(start, end, -procs);
 }
 
-void GanttChart::rebuild_profile() const {
-  profile_.clear();
-  profile_.reserve(deltas_.size());
-  int level = baseline_;
-  int prev_level = baseline_;
-  double prev_time = 0.0;
-  double area = 0.0;
-  for (const auto& [time, delta] : deltas_) {
-    if (!profile_.empty()) area += static_cast<double>(prev_level) * (time - prev_time);
-    level += delta;
-    profile_.push_back(ProfilePoint{time, level, area});
-    prev_level = level;
-    prev_time = time;
-  }
-  profile_valid_ = true;
-}
-
-std::ptrdiff_t GanttChart::floor_index(double t) const {
-  const auto& prof = profile();
-  auto it = std::upper_bound(
-      prof.begin(), prof.end(), t,
-      [](double value, const ProfilePoint& p) { return value < p.time; });
-  return (it - prof.begin()) - 1;
-}
-
-int GanttChart::committed_at(double t) const {
-  const std::ptrdiff_t i = floor_index(t);
-  return i < 0 ? baseline_ : profile()[static_cast<std::size_t>(i)].level;
-}
+int GanttChart::committed_at(double t) const { return level_before(first_after(t)); }
 
 int GanttChart::peak_committed(double from, double to) const {
-  const auto& prof = profile();
-  int peak = committed_at(from);
-  // Profile points strictly inside (from, to) raise the level.
-  auto it = std::upper_bound(
-      prof.begin(), prof.end(), from,
-      [](double value, const ProfilePoint& p) { return value < p.time; });
-  for (; it != prof.end() && it->time < to; ++it) peak = std::max(peak, it->level);
+  auto it = first_after(from);
+  int peak = level_before(it);
+  // Steps strictly inside (from, to) raise the level.
+  for (; it != steps_.end() && it->time < to; ++it) peak = std::max(peak, it->level);
   return peak;
 }
 
 double GanttChart::average_committed(double from, double to) const {
-  if (to <= from) return static_cast<double>(committed_at(from));
-  const auto& prof = profile();
-  if (prof.empty()) return static_cast<double>(baseline_);
-
-  // Integral of the level from the first profile point's time up to t,
-  // using the memoized prefix areas. Requires t >= prof.front().time.
-  auto integral_to = [&](double t) {
-    const std::ptrdiff_t i = floor_index(t);
-    const ProfilePoint& p = prof[static_cast<std::size_t>(i)];
-    return p.area + static_cast<double>(p.level) * (t - p.time);
-  };
-
-  const double start = prof.front().time;
+  auto it = first_after(from);
+  int level = level_before(it);
+  if (to <= from) return static_cast<double>(level);
   double area = 0.0;
-  if (from < start) area += static_cast<double>(baseline_) * (std::min(to, start) - from);
-  if (to > start) {
-    const double lo = std::max(from, start);
-    area += integral_to(to) - integral_to(lo);
+  double cursor = from;
+  for (; it != steps_.end() && it->time < to; ++it) {
+    area += static_cast<double>(level) * (it->time - cursor);
+    cursor = it->time;
+    level = it->level;
   }
+  area += static_cast<double>(level) * (to - cursor);
   return area / (to - from);
 }
 
@@ -100,43 +82,35 @@ double GanttChart::earliest_fit(double after, double duration, int procs,
   if (procs > capacity_) return horizon;
   if (duration < 0.0) duration = 0.0;
 
-  // Single sweep over the memoized profile: O(events). `candidate` is the
-  // earliest possible start given everything seen so far; a segment whose
-  // level exceeds the limit pushes it to the segment's end; once a feasible
+  // Single sweep from `after`: O(steps). `candidate` is the earliest
+  // possible start given everything seen so far; a segment whose level
+  // exceeds the limit pushes it to the segment's end; once a feasible
   // stretch of at least `duration` follows `candidate`, it wins.
   const int limit = capacity_ - procs;
-  const auto& prof = profile();
   double candidate = after;
-  // Points at or before `after` only establish the starting level; skip to
-  // them via the memoized profile instead of sweeping from the beginning.
-  const std::ptrdiff_t start = floor_index(after);
-  int level = start < 0 ? baseline_ : prof[static_cast<std::size_t>(start)].level;
-  for (std::size_t j = static_cast<std::size_t>(start + 1); j < prof.size(); ++j) {
-    const ProfilePoint& p = prof[j];
-    if (p.time > candidate) {
+  auto it = first_after(after);
+  int level = level_before(it);
+  for (; it != steps_.end(); ++it) {
+    if (it->time > candidate) {
       if (level > limit) {
-        candidate = p.time;  // blocked until this boundary
+        candidate = it->time;  // blocked until this boundary
         if (candidate >= horizon) return horizon;
-      } else if (candidate + duration <= p.time) {
+      } else if (candidate + duration <= it->time) {
         return candidate;  // whole window fits before the next change
       }
     }
-    level = p.level;
+    level = it->level;
   }
-  // Tail segment: level holds forever after the last event.
+  // Tail segment: level holds forever after the last step.
   if (level > limit) return horizon;
   return candidate < horizon ? candidate : horizon;
 }
 
 void GanttChart::compact(double t) {
-  auto it = deltas_.begin();
-  bool changed = false;
-  while (it != deltas_.end() && it->first <= t) {
-    baseline_ += it->second;
-    it = deltas_.erase(it);
-    changed = true;
-  }
-  if (changed) invalidate();
+  const auto it = first_after(t);
+  if (it == steps_.begin()) return;
+  baseline_ = std::prev(it)->level;
+  steps_.erase(steps_.begin(), it);
 }
 
 }  // namespace faucets::cluster

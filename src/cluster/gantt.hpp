@@ -2,19 +2,23 @@
 //
 // §4.1: "The strategy must find time windows for the job in its
 // processor-time Gantt chart before the job's deadline." This profile
-// tracks committed processors over future time; the payoff scheduler uses
-// it for admission, backfill uses it for reservations, and bid generators
-// use its average to project utilization up to a deadline (§5.2).
+// tracks committed processors over future time. Its one production user is
+// the payoff strategy: `PayoffStrategy::commitments()` builds a chart per
+// admission and schedule call, interleaving one `earliest_fit` and one
+// `reserve` per queued job, then `admit` asks `earliest_fit` and
+// `peak_committed` for the newcomer. `release`, `compact` and
+// `average_committed` have no production caller; tests and the allocator
+// microbenchmark keep them honest.
 //
-// Mutations (reserve/release/compact) edit a delta map; queries run against
-// a memoized step profile with prefix integrals, rebuilt lazily after a
-// mutation. Bid generation issues many queries per mutation (one
-// average_committed + earliest_fit per request-for-bids), so queries are
-// O(log n) between mutations instead of a linear rescan each time.
+// The profile is one sorted flat vector of step points: each point's level
+// holds from its time until the next point's, and `baseline` holds before
+// the first. A point exists exactly where the level changes, so every query
+// reads the vector directly (binary search, then a linear walk), and a
+// mutation edits it in place: at most two inserted points, a level bump
+// over the points in [start, end), and removal of a boundary point whose
+// level no longer changes.
 #pragma once
 
-#include <cstddef>
-#include <map>
 #include <vector>
 
 namespace faucets::cluster {
@@ -46,37 +50,30 @@ class GanttChart {
                                     double horizon) const;
 
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return deltas_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return steps_.empty(); }
 
   /// Drop events at or before `t` (they can no longer affect queries),
   /// folding them into the baseline. Keeps long simulations O(live events).
   void compact(double t);
 
  private:
-  /// One step of the memoized commitment profile. `level` is the commitment
-  /// from `time` until the next point; `area` is the integral of the level
-  /// from the first point's time up to `time`.
-  struct ProfilePoint {
+  /// The commitment is `level` from `time` until the next step's time.
+  struct Step {
     double time;
     int level;
-    double area;
   };
+  using StepIter = std::vector<Step>::const_iterator;
 
-  void invalidate() noexcept { profile_valid_ = false; }
-  void rebuild_profile() const;
-  [[nodiscard]] const std::vector<ProfilePoint>& profile() const {
-    if (!profile_valid_) rebuild_profile();
-    return profile_;
-  }
-  /// Index of the last profile point with time <= t, or -1 if t precedes
-  /// every point.
-  [[nodiscard]] std::ptrdiff_t floor_index(double t) const;
+  /// Add `procs` (negative to subtract) over [start, end), start < end.
+  void add(double start, double end, int procs);
+  /// First step with time > t.
+  [[nodiscard]] StepIter first_after(double t) const;
+  /// Level in force just before step `it` (the baseline for the first).
+  [[nodiscard]] int level_before(StepIter it) const;
 
   int capacity_;
-  int baseline_ = 0;              // commitment carried from compacted past
-  std::map<double, int> deltas_;  // time -> change in committed procs
-  mutable std::vector<ProfilePoint> profile_;  // memoized; rebuilt on demand
-  mutable bool profile_valid_ = false;
+  int baseline_ = 0;         // commitment carried from compacted past
+  std::vector<Step> steps_;  // sorted by time; adjacent levels differ
 };
 
 }  // namespace faucets::cluster

@@ -123,14 +123,19 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
 
 std::vector<Allocation> PayoffStrategy::schedule(const SchedulerContext& ctx) {
   const double speed = speed_of(ctx);
-  std::vector<const job::Job*> jobs;
+  // Priority order, running jobs first among equals. Each key is computed
+  // once; the stable sort keeps ties in that input order.
+  struct Keyed {
+    double priority;
+    const job::Job* job;
+  };
+  std::vector<Keyed> jobs;
   jobs.reserve(ctx.running.size() + ctx.queued.size());
-  jobs.insert(jobs.end(), ctx.running.begin(), ctx.running.end());
-  jobs.insert(jobs.end(), ctx.queued.begin(), ctx.queued.end());
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [&](const job::Job* a, const job::Job* b) {
-                     return priority(*a, ctx.now) > priority(*b, ctx.now);
-                   });
+  for (const auto* j : ctx.running) jobs.push_back({priority(*j, ctx.now), j});
+  for (const auto* j : ctx.queued) jobs.push_back({priority(*j, ctx.now), j});
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Keyed& a, const Keyed& b) {
+    return a.priority > b.priority;
+  });
 
   const int total = ctx.total_procs();
   std::vector<Allocation> out;
@@ -141,8 +146,9 @@ std::vector<Allocation> PayoffStrategy::schedule(const SchedulerContext& ctx) {
   std::vector<int> granted(jobs.size(), 0);
   int cap = total;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const job::Job& j = *jobs[i];
+    const job::Job& j = *jobs[i].job;
     const auto& c = j.contract();
+    if (c.min_procs > cap) continue;  // stays queued this round
     const int max_here = std::min(c.max_procs, total);
     int desired = c.min_procs;
     if (c.payoff.has_deadline()) {
@@ -157,7 +163,6 @@ std::vector<Allocation> PayoffStrategy::schedule(const SchedulerContext& ctx) {
         }
       }
     }
-    if (c.min_procs > cap) continue;  // stays queued this round
     granted[i] = std::min(desired, cap);
     if (granted[i] < c.min_procs) granted[i] = c.min_procs;
     cap -= granted[i];
@@ -167,14 +172,14 @@ std::vector<Allocation> PayoffStrategy::schedule(const SchedulerContext& ctx) {
   // are captured.
   for (std::size_t i = 0; i < jobs.size() && cap > 0; ++i) {
     if (granted[i] == 0) continue;
-    const int max_here = std::min(jobs[i]->contract().max_procs, total);
+    const int max_here = std::min(jobs[i].job->contract().max_procs, total);
     const int extra = std::min(cap, max_here - granted[i]);
     granted[i] += extra;
     cap -= extra;
   }
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out.push_back(Allocation{jobs[i]->id(), granted[i]});
+    out.push_back(Allocation{jobs[i].job->id(), granted[i]});
   }
   return out;
 }

@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "src/cluster/gantt.hpp"
 #include "src/util/rng.hpp"
+#include "tests/cluster/brute_force_chart.hpp"
 
 namespace faucets::cluster {
 namespace {
@@ -120,61 +120,14 @@ TEST_P(GanttProperties, EarliestFitMatchesBruteForceReference) {
   }
 }
 
-// Independent reference for the memoized profile: a plain delta map swept
-// linearly on every query, mirroring what the chart did before memoization.
-struct BruteForceChart {
-  int baseline = 0;
-  std::map<double, int> deltas;
-
-  void reserve(double start, double end, int procs) {
-    deltas[start] += procs;
-    deltas[end] -= procs;
-    prune(start);
-    prune(end);
-  }
-  void release(double start, double end, int procs) { reserve(start, end, -procs); }
-  void prune(double key) {
-    auto it = deltas.find(key);
-    if (it != deltas.end() && it->second == 0) deltas.erase(it);
-  }
-  void compact(double t) {
-    for (auto it = deltas.begin(); it != deltas.end() && it->first <= t;) {
-      baseline += it->second;
-      it = deltas.erase(it);
-    }
-  }
-  [[nodiscard]] int committed_at(double t) const {
-    int level = baseline;
-    for (const auto& [time, d] : deltas) {
-      if (time > t) break;
-      level += d;
-    }
-    return level;
-  }
-  [[nodiscard]] double average_committed(double from, double to) const {
-    if (to <= from) return 0.0;
-    double area = 0.0;
-    double cursor = from;
-    int level = committed_at(from);
-    for (const auto& [time, d] : deltas) {
-      if (time <= from) continue;
-      if (time >= to) break;
-      area += level * (time - cursor);
-      cursor = time;
-      level += d;
-    }
-    area += level * (to - cursor);
-    return area / (to - from);
-  }
-};
-
 TEST_P(GanttProperties, IncrementalMatchesBruteForceUnderMixedMutation) {
-  // The memoized profile must be indistinguishable from a from-scratch
-  // sweep no matter how reserve/release/compact and queries interleave —
-  // this is exactly the invalidation logic's failure surface.
+  // The flat step profile, edited in place, must answer every query exactly
+  // as a from-scratch sweep of the delta map does, no matter how
+  // reserve/release/compact and queries interleave: a dropped or stale step
+  // point shows up here.
   Rng rng{GetParam() * 8191 + 17};
   GanttChart gantt{256};
-  BruteForceChart ref;
+  BruteForceChart ref{256};
   std::vector<Reservation> live;
   double compacted_to = -1e300;
 
@@ -205,15 +158,24 @@ TEST_P(GanttProperties, IncrementalMatchesBruteForceUnderMixedMutation) {
       const double from =
           std::max(compacted_to, 0.0) + rng.uniform(1e-3, 4e3);
       const double to = from + rng.uniform(1.0, 2e3);
+      ASSERT_EQ(gantt.empty(), ref.deltas.empty())
+          << "seed " << GetParam() << " step " << step;
       ASSERT_EQ(gantt.committed_at(from), ref.committed_at(from))
+          << "seed " << GetParam() << " step " << step;
+      ASSERT_EQ(gantt.peak_committed(from, to), ref.peak_committed(from, to))
           << "seed " << GetParam() << " step " << step;
       ASSERT_NEAR(gantt.average_committed(from, to),
                   ref.average_committed(from, to), 1e-6)
           << "seed " << GetParam() << " step " << step;
       const int procs = static_cast<int>(rng.uniform_int(1, 256));
-      const double fit = gantt.earliest_fit(from, to - from, procs, 1e6);
-      if (fit < 1e6) {
-        EXPECT_LE(gantt.peak_committed(fit, to - from + fit) + procs, 256);
+      // An unbounded horizon, and one that cuts some searches short.
+      for (const double horizon : {1e6, to + rng.uniform(0.0, 2e3)}) {
+        const double fit = gantt.earliest_fit(from, to - from, procs, horizon);
+        ASSERT_EQ(fit, ref.earliest_fit(from, to - from, procs, horizon))
+            << "seed " << GetParam() << " step " << step;
+        if (fit < horizon) {
+          EXPECT_LE(gantt.peak_committed(fit, to - from + fit) + procs, 256);
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
-// Determinism goldens for the single-engine run loop. Three scenarios — the
+// Determinism goldens for the single-engine run loop. Four scenarios — the
 // E13 1000-cluster grid (scaled down), a brokered grid under message loss, a
-// partition and a mid-run crash, and a user-multiplied SWF replay — must
+// partition and a mid-run crash, a user-multiplied SWF replay, and a
+// brokered market with deep payoff queues — must
 //
 //  1. reach the accounting invariant: every submission terminal, no pending
 //     outcome, no live reservation lease, no open lifecycle span;
@@ -300,6 +301,34 @@ TEST(GoldenRun, MultipliedSwfReplay) {
                  .trace = 0xbefdff3c97cf4cc9ULL,
                  .prometheus = 0xe8a7706c47a82469ULL,
                  .chrome = 0xc1cb29c9e66d7c80ULL});
+}
+
+// --- deep payoff queues behind a brokered market ---------------------------
+
+/// The e2ebench `market_brokered` grid at 2,000 jobs: two payoff clusters
+/// and an equipartition one under load 0.9, so payoff admission and
+/// scheduling see queues hundreds of jobs deep.
+std::string deep_queue_market_ini() {
+  std::ostringstream ini;
+  ini << "[grid]\nusers = 6\nbrokered = true\nwatchdog = 600\nseed = 2004\n\n"
+         "[cluster]\nname = turing\nprocs = 256\ncost = 0.0008\n"
+         "strategy = payoff\nbidgen = utilization\n\n"
+         "[cluster]\nname = hopper\nprocs = 256\ncost = 0.0005\n"
+         "strategy = equipartition\nbidgen = baseline\n\n"
+         "[cluster]\nname = lovelace\nprocs = 512\ncost = 0.0012\n"
+         "strategy = payoff\nbidgen = baseline\n\n"
+         "[workload]\njobs = 2000\nload = 0.9\n";
+  return ini.str();
+}
+
+TEST(GoldenRun, DeepQueuePayoffMarket) {
+  const std::string ini = deep_queue_market_ini();
+  const double pace = obs::live::LiveConfig{}.publish_interval;
+  expect_golden([&](Observer o) { return run_scenario(ini, o, pace); }, 2000,
+                {.report = 0xe79dfd7c86b6bb19ULL,
+                 .trace = 0xa9d06a1a5a22231bULL,
+                 .prometheus = 0xde96583253e6c886ULL,
+                 .chrome = 0x543f98d9e257eac6ULL});
 }
 
 }  // namespace
