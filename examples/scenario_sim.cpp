@@ -435,14 +435,8 @@ int main(int argc, char** argv) {
       std::cout << "wrote report JSON to " << *opts.report_json << "\n";
     }
     if (opts.profile) {
-      if (grid->profiler() != nullptr) {
-        std::cout << "wrote host-time profile to "
-                  << scenario.grid.profile.json_path << " (+ "
-                  << scenario.grid.profile.metrics_path << ")\n";
-      } else {
-        std::cout << "host-time profiling compiled out (FAUCETS_PROFILE=0); "
-                     "no profile written\n";
-      }
+      std::cout << "wrote host-time profile to " << scenario.grid.profile.json_path
+                << " (+ " << scenario.grid.profile.metrics_path << ")\n";
     }
     if (opts.trace_jsonl) {
       auto out = open_out(*opts.trace_jsonl);

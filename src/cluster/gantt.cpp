@@ -17,10 +17,11 @@ GanttChart::StepIter GanttChart::first_after(double t) const {
 }
 
 int GanttChart::level_before(StepIter it) const {
-  return it == steps_.begin() ? baseline_ : std::prev(it)->level;
+  return it == steps_.begin() ? 0 : std::prev(it)->level;
 }
 
-void GanttChart::add(double start, double end, int procs) {
+void GanttChart::reserve(double start, double end, int procs) {
+  if (end <= start || procs <= 0) return;
   // Make `t` a step point (carrying the level already in force there) and
   // return its index.
   auto split = [this](double t) {
@@ -42,16 +43,6 @@ void GanttChart::add(double start, double end, int procs) {
   if (first[lo].level == level_before(first + lo)) steps_.erase(first + lo);
 }
 
-void GanttChart::reserve(double start, double end, int procs) {
-  if (end <= start || procs <= 0) return;
-  add(start, end, procs);
-}
-
-void GanttChart::release(double start, double end, int procs) {
-  if (end <= start || procs <= 0) return;
-  add(start, end, -procs);
-}
-
 int GanttChart::committed_at(double t) const { return level_before(first_after(t)); }
 
 int GanttChart::peak_committed(double from, double to) const {
@@ -60,21 +51,6 @@ int GanttChart::peak_committed(double from, double to) const {
   // Steps strictly inside (from, to) raise the level.
   for (; it != steps_.end() && it->time < to; ++it) peak = std::max(peak, it->level);
   return peak;
-}
-
-double GanttChart::average_committed(double from, double to) const {
-  auto it = first_after(from);
-  int level = level_before(it);
-  if (to <= from) return static_cast<double>(level);
-  double area = 0.0;
-  double cursor = from;
-  for (; it != steps_.end() && it->time < to; ++it) {
-    area += static_cast<double>(level) * (it->time - cursor);
-    cursor = it->time;
-    level = it->level;
-  }
-  area += static_cast<double>(level) * (to - cursor);
-  return area / (to - from);
 }
 
 double GanttChart::earliest_fit(double after, double duration, int procs,
@@ -104,13 +80,6 @@ double GanttChart::earliest_fit(double after, double duration, int procs,
   // Tail segment: level holds forever after the last step.
   if (level > limit) return horizon;
   return candidate < horizon ? candidate : horizon;
-}
-
-void GanttChart::compact(double t) {
-  const auto it = first_after(t);
-  if (it == steps_.begin()) return;
-  baseline_ = std::prev(it)->level;
-  steps_.erase(steps_.begin(), it);
 }
 
 }  // namespace faucets::cluster

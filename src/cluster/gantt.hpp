@@ -6,15 +6,13 @@
 // the payoff strategy: `PayoffStrategy::commitments()` builds a chart per
 // admission and schedule call, interleaving one `earliest_fit` and one
 // `reserve` per queued job, then `admit` asks `earliest_fit` and
-// `peak_committed` for the newcomer. `release`, `compact` and
-// `average_committed` have no production caller; tests and the allocator
-// microbenchmark keep them honest.
+// `peak_committed` for the newcomer.
 //
 // The profile is one sorted flat vector of step points: each point's level
 // holds from its time until the next point's, and `baseline` holds before
 // the first. A point exists exactly where the level changes, so every query
 // reads the vector directly (binary search, then a linear walk), and a
-// mutation edits it in place: at most two inserted points, a level bump
+// reservation edits it in place: at most two inserted points, a level bump
 // over the points in [start, end), and removal of a boundary point whose
 // level no longer changes.
 #pragma once
@@ -30,17 +28,11 @@ class GanttChart {
   /// Commit `procs` processors over [start, end).
   void reserve(double start, double end, int procs);
 
-  /// Undo a prior reserve with identical arguments.
-  void release(double start, double end, int procs);
-
   /// Processors committed at time t.
   [[nodiscard]] int committed_at(double t) const;
 
   /// Peak commitment over [from, to).
   [[nodiscard]] int peak_committed(double from, double to) const;
-
-  /// Time-weighted average commitment over [from, to).
-  [[nodiscard]] double average_committed(double from, double to) const;
 
   /// Earliest start >= `after` such that `procs` extra processors are free
   /// for the whole window [start, start + duration). Searches event
@@ -52,10 +44,6 @@ class GanttChart {
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool empty() const noexcept { return steps_.empty(); }
 
-  /// Drop events at or before `t` (they can no longer affect queries),
-  /// folding them into the baseline. Keeps long simulations O(live events).
-  void compact(double t);
-
  private:
   /// The commitment is `level` from `time` until the next step's time.
   struct Step {
@@ -64,15 +52,12 @@ class GanttChart {
   };
   using StepIter = std::vector<Step>::const_iterator;
 
-  /// Add `procs` (negative to subtract) over [start, end), start < end.
-  void add(double start, double end, int procs);
   /// First step with time > t.
   [[nodiscard]] StepIter first_after(double t) const;
-  /// Level in force just before step `it` (the baseline for the first).
+  /// Level in force just before step `it` (0 before the first).
   [[nodiscard]] int level_before(StepIter it) const;
 
   int capacity_;
-  int baseline_ = 0;         // commitment carried from compacted past
   std::vector<Step> steps_;  // sorted by time; adjacent levels differ
 };
 

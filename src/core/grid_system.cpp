@@ -146,7 +146,6 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
 }
 
 void GridSystem::setup_profiler() {
-#if FAUCETS_PROFILE
   if (!config_.profile.enabled) return;
   profiler_ = std::make_unique<obs::Profiler>();
   profiler_->set_kind_name(0, "timer");
@@ -157,7 +156,6 @@ void GridSystem::setup_profiler() {
   }
   ctx_.engine().set_profiler(&profiler_->lane(0));
   ctx_.network().set_profiler(&profiler_->lane(0));
-#endif
 }
 
 void GridSystem::setup_live_plane() {

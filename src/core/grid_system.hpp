@@ -132,8 +132,7 @@ struct GridConfig {
   RetryPolicy retry{};
   /// Periodic telemetry sampling; off by default.
   TelemetryConfig telemetry{};
-  /// Host-time profiling; off by default (and compiled out entirely with
-  /// -DFAUCETS_PROFILE=0, in which case enabling is a no-op).
+  /// Host-time profiling; off by default.
   ProfileConfig profile{};
   /// Durable persistence; off by default (empty dir).
   StoreConfig store{};
@@ -315,9 +314,8 @@ class GridSystem {
   /// post-run call costs one join, not a re-walk.
   [[nodiscard]] GridTelemetry telemetry() const;
 
-  /// The host-time profiler, when GridConfig::profile.enabled (and the build
-  /// keeps FAUCETS_PROFILE on); null otherwise. Its wall clock is valid
-  /// after run().
+  /// The host-time profiler, when GridConfig::profile.enabled; null
+  /// otherwise. Its wall clock is valid after run().
   [[nodiscard]] const obs::Profiler* profiler() const noexcept {
     return profiler_.get();
   }

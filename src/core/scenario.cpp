@@ -56,19 +56,32 @@ BidGeneratorFactory bidgen_factory(const std::string& name) {
                               "' (expected baseline|utilization|market|futures)");
 }
 
-EvaluatorFactory evaluator_factory(const std::string& name) {
-  if (name == "least-cost") {
-    return [] { return std::make_unique<market::LeastCostEvaluator>(); };
-  }
+namespace {
+
+/// The selection rule an `evaluator` name stands for (§5.3).
+proto::SelectionCriteria selection_criteria(const std::string& name) {
+  if (name == "least-cost") return proto::SelectionCriteria::kLeastCost;
   if (name == "earliest-completion") {
-    return [] { return std::make_unique<market::EarliestCompletionEvaluator>(); };
+    return proto::SelectionCriteria::kEarliestCompletion;
   }
-  if (name == "surplus") {
-    return [] { return std::make_unique<market::SurplusEvaluator>(); };
-  }
+  if (name == "surplus") return proto::SelectionCriteria::kSurplus;
   throw std::invalid_argument(
       "unknown evaluator '" + name +
       "' (expected least-cost|earliest-completion|surplus)");
+}
+
+}  // namespace
+
+EvaluatorFactory evaluator_factory(const std::string& name) {
+  switch (selection_criteria(name)) {
+    case proto::SelectionCriteria::kLeastCost:
+      return [] { return std::make_unique<market::LeastCostEvaluator>(); };
+    case proto::SelectionCriteria::kEarliestCompletion:
+      return [] { return std::make_unique<market::EarliestCompletionEvaluator>(); };
+    case proto::SelectionCriteria::kSurplus:
+      return [] { return std::make_unique<market::SurplusEvaluator>(); };
+  }
+  return [] { return std::make_unique<market::LeastCostEvaluator>(); };
 }
 
 namespace {
@@ -130,8 +143,11 @@ Scenario Scenario::parse(const ConfigFile& config) {
     if (watchdog >= 0.0) out.grid.client_watchdog_margin = watchdog;
     const double band = grid->get_double("price_band", 0.0);
     if (band > 1.0) out.grid.central.price_band = band;
-    out.grid.evaluator =
-        evaluator_factory(grid->get_string("evaluator", "least-cost"));
+    // One key names the selection rule on both paths: the clients' own
+    // evaluator, and the criteria a broker applies on their behalf (§5.3).
+    const std::string evaluator = grid->get_string("evaluator", "least-cost");
+    out.grid.evaluator = evaluator_factory(evaluator);
+    out.grid.broker_criteria = selection_criteria(evaluator);
     out.seed = static_cast<std::uint64_t>(grid->get_int("seed", 42));
   } else {
     out.grid.evaluator = evaluator_factory("least-cost");

@@ -6,7 +6,8 @@
 //   billing = dollars        # dollars | su | barter
 //   users = 8
 //   brokered = false
-//   evaluator = least-cost   # least-cost | earliest-completion | surplus
+//   evaluator = least-cost   # least-cost | earliest-completion | surplus;
+//                            # the broker applies it too when brokered
 //   watchdog = -1            # seconds; omit or negative = no watchdog
 //   prefer_home = false
 //   price_band = 0           # §5.5.1 regulation; omit or <=1 = off

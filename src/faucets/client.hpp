@@ -1,8 +1,9 @@
 // The Faucets Client (FC) — §2: authenticates with the Central Server,
-// requests the list of matching Compute Servers, solicits bids from each
-// daemon, selects a bid with its evaluator, awards the job (with retry to
-// the next-best bid if the daemon refuses at commit time), uploads input
-// files, and tracks completion notices.
+// submits each job to the market — running the market cycle itself
+// (directory, request-for-bids, evaluation, two-phase award with fallback
+// to the next-best bid; src/faucets/market_cycle.hpp) or handing the job to
+// a broker agent that runs the same cycle (§5.3) — uploads input files, and
+// tracks completion, eviction and silent loss.
 #pragma once
 
 #include <deque>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/faucets/market_cycle.hpp"
 #include "src/faucets/protocol.hpp"
 #include "src/faucets/retry.hpp"
 #include "src/job/source.hpp"
@@ -25,8 +27,6 @@ namespace faucets {
 struct ClientConfig {
   std::string username;
   std::string password;
-  /// How long to wait for bids before evaluating with what arrived.
-  double bid_timeout = 10.0;
   /// Barter/home-cluster preference (§5.5.3): take a viable bid from the
   /// home cluster before comparing prices elsewhere.
   std::optional<ClusterId> home_cluster;
@@ -37,7 +37,8 @@ struct ClientConfig {
   /// died and resubmit from scratch. Disengaged = no watchdog. (The old
   /// `watchdog_margin < 0` sentinel is gone; see DESIGN.md §8.)
   std::optional<double> watchdog_margin;
-  /// Backoff schedule for login, directory, and reserve/commit exchanges.
+  /// Backoff schedule for login, directory, brokered-submit and
+  /// reserve/commit exchanges.
   RetryPolicy retry;
   /// How many full RFB rounds to run before a job without a viable bid is
   /// declared unplaced. 1 = the paper's one-shot market; chaos scenarios
@@ -45,22 +46,15 @@ struct ClientConfig {
   int bid_rounds = 1;
   /// Brokered submission (§5.3): when set, the client sends one
   /// SubmitJobRequest to this broker agent instead of broadcasting
-  /// request-for-bids itself. `criteria` replaces the local evaluator.
+  /// request-for-bids itself. `criteria` replaces the local evaluator;
+  /// `home_cluster` travels with the request.
   std::optional<EntityId> broker;
   proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost;
 };
 
 /// Outcome of one submission, for experiment bookkeeping.
 struct SubmissionOutcome {
-  enum class Status {
-    kPending,
-    kPlaced,
-    kNoServers,
-    kNoBids,
-    kAllRefused,
-    kCompleted,
-    kTimedOut,  // a retry schedule was exhausted (partition / crash)
-  };
+  using Status = proto::SubmissionStatus;
   Status status = Status::kPending;
   ClusterId cluster;
   JobId job;                  // daemon-side id, valid once placed
@@ -70,7 +64,7 @@ struct SubmissionOutcome {
   double award_time = 0.0;    // when the contract was confirmed
   double finish_time = 0.0;
   double payoff = 0.0;        // value_at(finish) from the client's payoff fn
-  std::size_t bids_received = 0;
+  std::size_t bids_received = 0;  // viable bids at the last evaluation
   // Contract terms captured at submit, so deadline-outcome accounting
   // (telemetry reports) needs no access to the contract afterwards.
   bool has_deadline = false;
@@ -79,7 +73,7 @@ struct SubmissionOutcome {
   double payoff_max = 0.0;    // payoff at or before the soft deadline
 };
 
-class FaucetsClient final : public sim::Entity {
+class FaucetsClient final : public sim::Entity, private MarketCycle::Owner {
  public:
   FaucetsClient(sim::SimContext& ctx, EntityId central,
                 std::unique_ptr<market::BidEvaluator> evaluator, ClientConfig config);
@@ -128,39 +122,21 @@ class FaucetsClient final : public sim::Entity {
     return watchdog_restarts_;
   }
   /// Bids discarded by market regulation (§5.5.1).
-  [[nodiscard]] std::uint64_t regulated_out() const noexcept { return regulated_out_; }
+  [[nodiscard]] std::uint64_t regulated_out() const noexcept {
+    return cycle_.regulated_out();
+  }
 
   void on_message(const sim::Message& msg) override;
 
  private:
-  /// Where one request is in the two-phase award handshake.
-  enum class AwardPhase { kNone, kReserving, kCommitting };
-
   struct PendingJob {
     std::size_t outcome_index = 0;
     qos::QosContract contract;
-    std::vector<market::Bid> bids;
-    std::size_t expected_bids = 0;
-    bool evaluated = false;
-    bool awaiting_directory = false;  // dedup late/duplicate directory replies
-    sim::EventHandle timeout;
     sim::EventHandle watchdog;
-    double promised_completion = 0.0;
-    std::optional<proto::PriceBand> regulation;  // from the directory (§5.5.1)
-    std::vector<BidId> refused;  // bids whose award was refused (two-phase)
-    // Two-phase award state: the winning bid being reserved/committed.
-    AwardPhase phase = AwardPhase::kNone;
-    BidId winner_bid;
-    EntityId winner_daemon;
-    double winner_price = 0.0;
-    ReservationId reservation;
-    RetryState dir_retry;    // directory (or brokered submit) exchange
-    RetryState award_retry;  // reserve/commit exchange
-    int round = 0;           // completed RFB rounds (for bid_rounds)
+    RetryState submit_retry;  // brokered SubmitJobRequest exchange
+    int round = 0;            // completed market rounds (for bid_rounds)
     std::uint32_t submit_attempt = 0;  // bumped on each genuine resubmission
-    SpanId root;   // kSubmission span, open until a terminal outcome
-    SpanId rfb;    // current RFB round
-    SpanId award;  // current award attempt
+    SpanId root;  // kSubmission span, open until a terminal outcome
   };
 
   void login();
@@ -170,35 +146,23 @@ class FaucetsClient final : public sim::Entity {
   void arm_next_submission();
   void on_submission_due();
   void submit(const qos::QosContract& contract);
+  /// Open one market round for `request`: directly, or through the broker.
+  void start_round(RequestId request);
   void handle_login(const proto::LoginReply& msg);
-  void handle_directory(const proto::DirectoryReply& msg);
-  void handle_bid(const proto::BidReply& msg);
-  void handle_reserve_reply(const proto::ReserveReply& msg);
-  void handle_award_ack(const proto::AwardAck& msg);
   void handle_complete(const proto::JobCompleteNotice& msg);
   void handle_evicted(const proto::JobEvicted& msg);
   void handle_submit_reply(const proto::SubmitJobReply& msg);
-  void send_directory_request(RequestId request);
   void send_brokered(RequestId request);
-  void send_reserve(RequestId request);
-  void send_commit(RequestId request);
-  void on_directory_timeout(RequestId request);
-  void on_award_timeout(RequestId request);
-  /// The current winner's daemon is unresponsive or refused: mark its bids
-  /// dead and pick the next-best bid (or finish the round).
-  void give_up_on_winner(RequestId request);
-  void record_retry(RequestId request, sim::MessageKind kind, EntityId peer,
-                    int attempt);
-  void record_timeout(sim::MessageKind kind, EntityId peer);
+  void on_submit_timeout(RequestId request);
+  void on_bid(RequestId request, const market::Bid& bid) override;
+  void on_round_done(RequestId request, const proto::MarketResult& result) override;
   /// Terminal outcome for a contract that never reached the market (login
   /// retries exhausted), so submitted == completed + unplaced still holds.
   void fail_unsubmitted(const qos::QosContract& contract);
   void arm_watchdog(RequestId request, double promised_completion);
-  void on_placed(RequestId request, double price, ClusterId cluster,
-                 EntityId daemon, JobId job, double promised_completion);
-  void evaluate(RequestId request);
+  void on_placed(RequestId request, const proto::MarketResult& result);
   void finish_request(RequestId request, SubmissionOutcome::Status status);
-  /// Restart the bid/award cycle for a request already in pending_.
+  /// Restart the market round for a request already in pending_.
   void resubmit(RequestId request);
 
   sim::Network* network_;
@@ -220,7 +184,6 @@ class FaucetsClient final : public sim::Entity {
 
   IdGenerator<RequestId> request_ids_;
   std::unordered_map<RequestId, PendingJob> pending_;
-  std::unordered_map<JobId, RequestId> placed_;  // running jobs by daemon JobId
 
   std::vector<SubmissionOutcome> outcomes_;
   Samples award_latency_;
@@ -230,20 +193,19 @@ class FaucetsClient final : public sim::Entity {
   std::uint64_t unplaced_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t watchdog_restarts_ = 0;
-  std::uint64_t regulated_out_ = 0;
 
-  // Grid-wide registry instruments (shared across clients).
-  obs::Counter* submitted_ctr_ = nullptr;
-  obs::Counter* completed_ctr_ = nullptr;
-  obs::Counter* unplaced_ctr_ = nullptr;
-  obs::Counter* migrations_ctr_ = nullptr;
-  obs::Counter* watchdog_ctr_ = nullptr;
-  obs::Counter* retry_attempts_ctr_ = nullptr;
-  obs::Counter* retry_timeouts_ctr_ = nullptr;
-  obs::Counter* retry_exhausted_ctr_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;  // live submissions, all clients
+  // Grid-wide registry instruments (shared across clients). Declared, and
+  // so registered, before cycle_ registers the retry counters: the
+  // Prometheus text lists instruments in registration order.
+  obs::Counter* submitted_ctr_;
+  obs::Counter* completed_ctr_;
+  obs::Counter* unplaced_ctr_;
+  obs::Counter* migrations_ctr_;
+  obs::Counter* watchdog_ctr_;
+  MarketCycle cycle_;
   obs::Histogram* bid_latency_hist_ = nullptr;
   obs::Histogram* award_latency_hist_ = nullptr;
+  obs::Gauge* inflight_gauge_ = nullptr;  // live submissions, all clients
 };
 
 }  // namespace faucets

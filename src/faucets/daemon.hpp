@@ -118,7 +118,6 @@ class FaucetsDaemon final : public sim::Entity {
 
   void handle_rfb(const proto::RequestForBids& msg);
   void handle_auth_reply(const proto::AuthVerifyReply& msg);
-  void handle_award(const proto::AwardJob& msg);
   void handle_reserve(const proto::ReserveRequest& msg);
   void handle_commit(const proto::CommitRequest& msg);
   void handle_upload(const proto::UploadFiles& msg);

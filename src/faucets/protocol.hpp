@@ -93,27 +93,6 @@ struct BidReply final : sim::Message {
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };
 
-struct AwardJob final : sim::Message {
-  RequestId request;
-  BidId bid;
-  std::string username;
-  std::string password;
-  UserId user;  // identity established at login; FD verified it at bid time
-  /// When a broker agent awards on a client's behalf (§5.3), `notify` is
-  /// the client entity that receives completion/eviction notices and
-  /// `notify_request` the id those notices must carry. Invalid = the
-  /// sender itself (direct submission).
-  EntityId notify;
-  RequestId notify_request;
-  qos::QosContract contract;
-  /// Causal link for observability: the awarder's award span, which the
-  /// daemon hands to the CM so the job's queue/run spans parent correctly.
-  SpanId span;
-  static constexpr sim::MessageKind kKind = sim::MessageKind::kAward;
-  [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override { return 1024; }
-};
-
 /// Second phase of the award (§5.3): the daemon either confirms — becoming
 /// contractually bound — or refuses because its state changed since the bid.
 struct AwardAck final : sim::Message {
@@ -161,10 +140,14 @@ struct CommitRequest final : sim::Message {
   RequestId request;
   ReservationId reservation;
   bool commit = true;
-  /// See AwardJob::notify — broker awards name the client to notify.
+  /// When a broker agent awards on a client's behalf (§5.3), `notify` is
+  /// the client entity that receives completion/eviction notices and
+  /// `notify_request` the id those notices must carry. Invalid = the
+  /// sender itself (direct submission).
   EntityId notify;
   RequestId notify_request;
-  /// Causal link for observability, as in AwardJob.
+  /// Causal link for observability: the awarder's award span, which the
+  /// daemon hands to the CM so the job's queue/run spans parent correctly.
   SpanId span;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kCommit;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
@@ -219,6 +202,35 @@ struct JobCompleteNotice final : sim::Message {
 /// criteria to evaluation").
 enum class SelectionCriteria { kLeastCost, kEarliestCompletion, kSurplus };
 
+/// Where a submission stands. A market round ends in kPlaced or in one of
+/// the four failures; kPending and kCompleted are the client's own
+/// bookkeeping before and after a round.
+enum class SubmissionStatus {
+  kPending,
+  kPlaced,
+  kNoServers,    // the directory listed no matching Compute Server
+  kNoBids,       // servers were asked, no bid arrived before the timeout
+  kAllRefused,   // bids arrived, none viable, in band, or honoured at award
+  kCompleted,
+  kTimedOut,     // a retry schedule was exhausted (partition / crash)
+};
+
+/// How one market round ended, whoever ran it: the client itself or a
+/// broker agent on its behalf (the broker's reply carries it verbatim).
+struct MarketResult {
+  SubmissionStatus status = SubmissionStatus::kPending;
+  /// Viable (not declined) bids at the round's last evaluation.
+  std::size_t bids_considered = 0;
+  /// The bid last selected: its cluster (invalid when none was) and its
+  /// price, which once placed is the confirmed contract price.
+  ClusterId cluster;
+  double price = 0.0;
+  // Valid once placed.
+  EntityId daemon;  // for the input upload
+  JobId job;
+  double promised_completion = 0.0;
+};
+
 /// One-shot submission through a broker agent: the broker performs the
 /// directory lookup, the request-for-bids fan-out, the evaluation, and the
 /// two-phase award, shielding the client from the flood of bids (§5.3).
@@ -233,6 +245,9 @@ struct SubmitJobRequest final : sim::Message {
   std::string password;
   UserId user;
   SelectionCriteria criteria = SelectionCriteria::kLeastCost;
+  /// Barter/home-cluster preference (§5.5.3), applied by the broker exactly
+  /// as a direct client applies it.
+  std::optional<ClusterId> home_cluster;
   qos::QosContract contract;
   /// Causal link for observability: the client's root submission span, so
   /// the broker's RFB/award spans hang off the right tree.
@@ -244,14 +259,7 @@ struct SubmitJobRequest final : sim::Message {
 
 struct SubmitJobReply final : sim::Message {
   RequestId request;
-  bool placed = false;
-  ClusterId cluster;
-  EntityId daemon;  // for the input upload
-  JobId job;
-  double price = 0.0;
-  double promised_completion = 0.0;
-  std::size_t bids_considered = 0;
-  std::string reason;  // when not placed
+  MarketResult result;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kSubmitAck;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };

@@ -15,9 +15,7 @@
 // with profiling on or off.
 //
 // Timer reads go through HostClock, a calibrated TSC (x86-64) or
-// steady_clock wrapper. Compile with -DFAUCETS_PROFILE=0 to compile every
-// hook out entirely; at the default (=1) an unprofiled run pays one null
-// check per event.
+// steady_clock wrapper. An unprofiled run pays one null check per event.
 #pragma once
 
 #include <array>
@@ -33,10 +31,6 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
-
-#ifndef FAUCETS_PROFILE
-#define FAUCETS_PROFILE 1
-#endif
 
 namespace faucets::obs {
 

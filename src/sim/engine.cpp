@@ -128,14 +128,12 @@ bool Engine::step(SimTime until) {
   pop_root();
   retire_slot(s);
   ++executed_;
-#if FAUCETS_PROFILE
   if (prof_ != nullptr) {
     prof_->begin_event();
     fn();
     prof_->end_event();
     return true;
   }
-#endif
   fn();
   return true;
 }

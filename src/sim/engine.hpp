@@ -140,8 +140,7 @@ class Engine {
 
   /// Attach a host-time profiler lane (DESIGN.md §12): step() brackets each
   /// dispatched handler with one timestamp pair. Null (the default) keeps
-  /// the unprofiled path to a single branch per event; the hook compiles out
-  /// entirely with -DFAUCETS_PROFILE=0.
+  /// the unprofiled path to a single branch per event.
   void set_profiler(obs::ProfilerLane* lane) noexcept { prof_ = lane; }
 
   static constexpr SimTime kForever = 1e300;

@@ -28,6 +28,9 @@ enum class MessageKind : std::uint8_t {
   kDirectoryReply,
   kRequestForBids,
   kBid,
+  // Reserved: the seed's fire-and-forget one-phase award, superseded by
+  // kReserve/kCommit, so no message uses it. It keeps its place because the
+  // per-kind traffic arrays in report JSON are indexed by kind.
   kAward,
   kAwardAck,
   kReserve,

@@ -121,12 +121,10 @@ void Network::deliver(MessageKind kind, MessagePtr msg) {
   ++messages_delivered_;
   ++delivered_by_kind_[static_cast<std::size_t>(kind)];
   if (delivered_ctr_ != nullptr) delivered_ctr_->inc();
-#if FAUCETS_PROFILE
   if (prof_ != nullptr) {
     prof_->set_event_tag(1 + static_cast<std::size_t>(kind),
                          target->profile_class());
   }
-#endif
   engine_->set_current_entity(msg->to.value());
   target->on_message(*msg);
 }

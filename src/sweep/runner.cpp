@@ -123,11 +123,9 @@ RunResult SweepRunner::execute(const RunPoint& point, bool profile) const {
   const auto source = scenario.make_source();
   const auto report = grid->run(*source);
   auto metrics = grid_metrics(report);
-#if FAUCETS_PROFILE
   if (const obs::Profiler* prof = grid->profiler()) {
     prof->append_sweep_metrics(metrics);
   }
-#endif
   return make_result(point, spec_.mode(), std::move(metrics));
 }
 

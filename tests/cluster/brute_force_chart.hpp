@@ -2,8 +2,7 @@
 // deltas, every query a linear sweep of the map from its start. Its
 // `committed_at`, `peak_committed` and `earliest_fit` follow the chart's
 // documented semantics step for step, so the chart must agree with them bit
-// for bit; `average_committed` sums the same areas in a different order and
-// agrees to a tolerance.
+// for bit.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +14,6 @@ struct BruteForceChart {
   explicit BruteForceChart(int procs) : capacity(procs) {}
 
   int capacity;
-  int baseline = 0;
   std::map<double, int> deltas;  // time -> change in committed procs; never 0
 
   void reserve(double start, double end, int procs) {
@@ -25,19 +23,12 @@ struct BruteForceChart {
     prune(start);
     prune(end);
   }
-  void release(double start, double end, int procs) { reserve(start, end, -procs); }
   void prune(double key) {
     auto it = deltas.find(key);
     if (it != deltas.end() && it->second == 0) deltas.erase(it);
   }
-  void compact(double t) {
-    for (auto it = deltas.begin(); it != deltas.end() && it->first <= t;) {
-      baseline += it->second;
-      it = deltas.erase(it);
-    }
-  }
   [[nodiscard]] int committed_at(double t) const {
-    int level = baseline;
+    int level = 0;
     for (const auto& [time, d] : deltas) {
       if (time > t) break;
       level += d;
@@ -45,7 +36,7 @@ struct BruteForceChart {
     return level;
   }
   [[nodiscard]] int peak_committed(double from, double to) const {
-    int level = baseline;
+    int level = 0;
     auto it = deltas.begin();
     for (; it != deltas.end() && it->first <= from; ++it) level += it->second;
     int peak = level;
@@ -55,21 +46,6 @@ struct BruteForceChart {
     }
     return peak;
   }
-  [[nodiscard]] double average_committed(double from, double to) const {
-    if (to <= from) return 0.0;
-    double area = 0.0;
-    double cursor = from;
-    int level = committed_at(from);
-    for (const auto& [time, d] : deltas) {
-      if (time <= from) continue;
-      if (time >= to) break;
-      area += level * (time - cursor);
-      cursor = time;
-      level += d;
-    }
-    area += level * (to - cursor);
-    return area / (to - from);
-  }
   /// Earliest start >= `after` with `procs` free over the whole window,
   /// probing `after` and every later event time; `horizon` if none fits.
   [[nodiscard]] double earliest_fit(double after, double duration, int procs,
@@ -78,7 +54,7 @@ struct BruteForceChart {
     if (duration < 0.0) duration = 0.0;
     const int limit = capacity - procs;
     double candidate = after;
-    int level = baseline;
+    int level = 0;
     for (const auto& [time, d] : deltas) {
       if (time > candidate) {
         if (level > limit) {

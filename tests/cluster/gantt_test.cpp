@@ -34,14 +34,6 @@ TEST(Gantt, OverlappingReservationsStack) {
   EXPECT_EQ(g.committed_at(12.0), 50);
 }
 
-TEST(Gantt, ReleaseUndoesReserve) {
-  GanttChart g{100};
-  g.reserve(0.0, 10.0, 30);
-  g.release(0.0, 10.0, 30);
-  EXPECT_EQ(g.committed_at(5.0), 0);
-  EXPECT_TRUE(g.empty());
-}
-
 TEST(Gantt, PeakCommitted) {
   GanttChart g{100};
   g.reserve(0.0, 10.0, 30);
@@ -50,15 +42,6 @@ TEST(Gantt, PeakCommitted) {
   EXPECT_EQ(g.peak_committed(0.0, 5.0), 30);
   EXPECT_EQ(g.peak_committed(11.0, 20.0), 50);
   EXPECT_EQ(g.peak_committed(16.0, 20.0), 0);
-}
-
-TEST(Gantt, AverageCommitted) {
-  GanttChart g{100};
-  g.reserve(0.0, 10.0, 40);
-  // Over [0, 20): 10 s at 40, 10 s at 0 -> average 20.
-  EXPECT_DOUBLE_EQ(g.average_committed(0.0, 20.0), 20.0);
-  EXPECT_DOUBLE_EQ(g.average_committed(0.0, 10.0), 40.0);
-  EXPECT_DOUBLE_EQ(g.average_committed(10.0, 20.0), 0.0);
 }
 
 TEST(Gantt, EarliestFitImmediateWhenIdle) {
@@ -90,16 +73,6 @@ TEST(Gantt, EarliestFitHorizonMeansNever) {
   EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 5.0, 1, 50.0), 50.0);
   // Larger than capacity can never fit.
   EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 5.0, 11, 1e6), 1e6);
-}
-
-TEST(Gantt, CompactPreservesFutureQueries) {
-  GanttChart g{100};
-  g.reserve(0.0, 10.0, 30);
-  g.reserve(5.0, 20.0, 20);
-  g.compact(7.0);
-  EXPECT_EQ(g.committed_at(8.0), 50);
-  EXPECT_EQ(g.committed_at(12.0), 20);
-  EXPECT_EQ(g.committed_at(25.0), 0);
 }
 
 }  // namespace

@@ -72,6 +72,35 @@ TEST(Regulation, GougerWinsNothingOnceNormalPriceExists) {
   EXPECT_GT(grid.client(0).regulated_out(), 0u);
 }
 
+TEST(Regulation, GougerWinsNothingOnceNormalPriceExistsBrokered) {
+  // The broker runs the client's market cycle, so it applies the directory's
+  // price band too. The first job fits only the honest cluster and sets the
+  // normal price; afterwards earliest-completion would pick the faster
+  // gouger every time, were its bids not outside the band.
+  CentralServerConfig central;
+  central.price_band = 3.0;
+  auto honest = make_cluster("honest", false);
+  honest.machine.total_procs = 128;
+  auto gouger = make_cluster("gouger", true);
+  gouger.machine.speed_factor = 2.0;
+  auto grid_ptr = GridBuilder()
+                      .central(central)
+                      .brokered(proto::SelectionCriteria::kEarliestCompletion)
+                      .cluster(std::move(honest))
+                      .cluster(std::move(gouger))
+                      .users(1)
+                      .build();
+  GridSystem& grid = *grid_ptr;
+
+  auto reqs = jobs(6);
+  reqs[0].contract = qos::make_contract(128, 128, 12800.0, 1.0, 1.0);
+  reqs[0].contract.payoff = qos::PayoffFunction::flat(100.0);
+  const auto report = grid.run(std::move(reqs));
+  EXPECT_EQ(report.jobs_completed, 6u);
+  EXPECT_EQ(report.clusters[1].completed, 0u);
+  EXPECT_GT(grid.broker()->regulated_out(), 0u);
+}
+
 TEST(Regulation, DisabledBandLetsAnyPriceWin) {
   // price_band left disengaged: no regulation.
   auto grid_ptr =

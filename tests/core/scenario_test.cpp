@@ -164,6 +164,22 @@ load = 0.4
   EXPECT_EQ(report.jobs_completed + report.jobs_unplaced, 10u);
 }
 
+TEST(Scenario, EvaluatorKeySetsBrokerCriteria) {
+  // One key names the selection rule on both paths: a brokered
+  // earliest-completion scenario must not silently run least-cost.
+  const std::pair<std::string, proto::SelectionCriteria> cases[] = {
+      {"least-cost", proto::SelectionCriteria::kLeastCost},
+      {"earliest-completion", proto::SelectionCriteria::kEarliestCompletion},
+      {"surplus", proto::SelectionCriteria::kSurplus},
+  };
+  for (const auto& [name, criteria] : cases) {
+    const auto scenario = Scenario::parse_string(
+        "[grid]\nbrokered = true\nevaluator = " + name + "\n[cluster]\nprocs = 64\n");
+    EXPECT_EQ(scenario.grid.broker_criteria, criteria) << name;
+    EXPECT_EQ(scenario.grid.evaluator()->name(), name);
+  }
+}
+
 TEST(Scenario, UnknownSectionsRejectedByName) {
   // A typo must not silently run with defaults, and a retired section must
   // not be silently ignored.

@@ -22,6 +22,15 @@ core::ClusterSetup make_cluster(const std::string& name, double cost) {
   return setup;
 }
 
+/// A Compute Server that declines every request for bids.
+class DecliningBidGenerator final : public market::BidGenerator {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "decliner"; }
+  [[nodiscard]] std::optional<double> multiplier(const market::BidContext&) override {
+    return std::nullopt;
+  }
+};
+
 job::JobRequest simple_job(double t = 0.0) {
   job::JobRequest req;
   req.submit_time = t;
@@ -100,6 +109,71 @@ TEST(Broker, NoServersReportsFailure) {
   const auto report = grid.run({req});
   EXPECT_EQ(report.jobs_unplaced, 1u);
   EXPECT_EQ(grid.broker()->failed(), 1u);
+  ASSERT_EQ(grid.client(0).outcomes().size(), 1u);
+  EXPECT_EQ(grid.client(0).outcomes()[0].status,
+            SubmissionOutcome::Status::kNoServers);
+}
+
+TEST(Broker, DeclinedBidsReportAllRefused) {
+  // The broker reports the status the direct path would have produced.
+  for (const bool brokered : {false, true}) {
+    core::GridBuilder builder;
+    if (brokered) builder.brokered();
+    for (const char* name : {"a", "b"}) {
+      auto setup = make_cluster(name, 0.0008);
+      setup.bid_generator = [] { return std::make_unique<DecliningBidGenerator>(); };
+      builder.cluster(std::move(setup));
+    }
+    auto grid = builder.users(1).build();
+    const auto report = grid->run({simple_job()});
+    EXPECT_EQ(report.jobs_unplaced, 1u);
+    ASSERT_EQ(grid->client(0).outcomes().size(), 1u);
+    EXPECT_EQ(grid->client(0).outcomes()[0].status,
+              SubmissionOutcome::Status::kAllRefused)
+        << (brokered ? "brokered" : "direct");
+    EXPECT_EQ(grid->client(0).outcomes()[0].bids_received, 0u)
+        << "declined bids are not viable";
+  }
+}
+
+TEST(Broker, DirectoryTimeoutReportsTimedOut) {
+  auto grid_ptr = core::GridBuilder()
+                      .brokered()
+                      .cluster(make_cluster("a", 0.0008))
+                      .users(1)
+                      .build();
+  core::GridSystem& grid = *grid_ptr;
+  // Isolate the Central Server once the client has logged in: the broker's
+  // directory requests go unanswered until its backoff schedule is spent,
+  // which ends before the client's own wait for the broker's reply.
+  sim::FaultConfig faults;
+  faults.partitions.push_back({grid.central().id(), 1.0, 1e9});
+  grid.network().set_faults(faults);
+
+  const auto report = grid.run({simple_job(10.0)}, 1e4);
+  EXPECT_EQ(report.jobs_unplaced, 1u);
+  EXPECT_EQ(grid.broker()->failed(), 1u);
+  ASSERT_EQ(grid.client(0).outcomes().size(), 1u);
+  EXPECT_EQ(grid.client(0).outcomes()[0].status,
+            SubmissionOutcome::Status::kTimedOut);
+}
+
+TEST(Broker, PrefersHomeClusterLikeTheDirectPath) {
+  // User 0's home is cluster 0, the expensive one: least-cost alone would
+  // pick cluster 1, the home preference (§5.5.3) keeps the job at home on
+  // both paths.
+  for (const bool brokered : {false, true}) {
+    core::GridBuilder builder;
+    builder.prefer_home();
+    if (brokered) builder.brokered();
+    auto grid = builder.cluster(make_cluster("home", 0.01))
+                    .cluster(make_cluster("cheap", 0.0001))
+                    .users(1)
+                    .build();
+    const auto report = grid->run({simple_job()});
+    EXPECT_EQ(report.jobs_completed, 1u);
+    EXPECT_EQ(report.clusters[0].completed, 1u) << (brokered ? "brokered" : "direct");
+  }
 }
 
 TEST(Broker, TwoPhaseRetryGoesToNextBest) {

@@ -22,6 +22,9 @@ class ScriptedClient final : public sim::Entity {
       case sim::MessageKind::kBid:
         bids.push_back(sim::message_cast<proto::BidReply>(msg).bid);
         break;
+      case sim::MessageKind::kReserveAck:
+        on_reserved(sim::message_cast<proto::ReserveReply>(msg));
+        break;
       case sim::MessageKind::kAwardAck:
         acks.push_back(sim::message_cast<proto::AwardAck>(msg));
         break;
@@ -43,9 +46,12 @@ class ScriptedClient final : public sim::Entity {
     network_->send(*this, daemon, std::move(rfb));
   }
 
+  /// The two-phase award: reserve the bid, then commit the reservation. A
+  /// refused reserve ends the award as a refused commit would, so it is
+  /// recorded as a refused AwardAck.
   void award(EntityId daemon, BidId bid, const qos::QosContract& contract,
              UserId user) {
-    auto msg = std::make_unique<proto::AwardJob>();
+    auto msg = std::make_unique<proto::ReserveRequest>();
     msg->request = RequestId{777};
     msg->bid = bid;
     msg->username = "alice";
@@ -60,6 +66,20 @@ class ScriptedClient final : public sim::Entity {
   std::vector<proto::JobCompleteNotice> completions;
 
  private:
+  void on_reserved(const proto::ReserveReply& reply) {
+    if (!reply.accepted) {
+      proto::AwardAck refused;
+      refused.request = reply.request;
+      refused.reason = reply.reason;
+      acks.push_back(refused);
+      return;
+    }
+    auto commit = std::make_unique<proto::CommitRequest>();
+    commit->request = reply.request;
+    commit->reservation = reply.reservation;
+    network_->send(*this, reply.from, std::move(commit));
+  }
+
   sim::Network* network_;
   std::uint64_t next_request_ = 0;
 };

@@ -15,7 +15,8 @@ TEST(Protocol, KindsAreStable) {
   EXPECT_EQ(DirectoryReply{}.kind_name(), "DIR_ACK");
   EXPECT_EQ(RequestForBids{}.kind_name(), "RFB");
   EXPECT_EQ(BidReply{}.kind_name(), "BID");
-  EXPECT_EQ(AwardJob{}.kind_name(), "AWARD");
+  // The one-phase award's slot is reserved and keeps its tag.
+  EXPECT_EQ(sim::to_string(sim::MessageKind::kAward), "AWARD");
   EXPECT_EQ(AwardAck{}.kind_name(), "AWARD_ACK");
   EXPECT_EQ(UploadFiles{}.kind_name(), "UPLOAD");
   EXPECT_EQ(JobEvicted{}.kind_name(), "EVICTED");
@@ -39,7 +40,7 @@ TEST(Protocol, TypedKindsMatchStaticKind) {
   // with the static kKind tag.
   EXPECT_EQ(LoginRequest{}.kind(), LoginRequest::kKind);
   EXPECT_EQ(BidReply{}.kind(), BidReply::kKind);
-  EXPECT_EQ(AwardJob{}.kind(), AwardJob::kKind);
+  EXPECT_EQ(ReserveRequest{}.kind(), ReserveRequest::kKind);
   EXPECT_EQ(WatchReply{}.kind(), WatchReply::kKind);
   EXPECT_EQ(SubmitJobRequest{}.kind(), sim::MessageKind::kSubmit);
   EXPECT_EQ(JobEvicted{}.kind(), sim::MessageKind::kEvicted);
