@@ -164,17 +164,21 @@ import json, sys
 d = sys.argv[1]
 
 # Every JSONL line must parse as an object with the typed envelope. A lossy
-# ring prepends one meta line announcing the drop count.
+# ring prepends one meta line announcing the drop count. Records are in
+# execution order, so their times never decrease.
 n = 0
+last_t = None
 for i, line in enumerate(open(f"{d}/trace.jsonl")):
     ev = json.loads(line)
     if i == 0 and "meta" in ev:
         assert ev["dropped"] > 0 and ev["total_recorded"] > 0, ev
         continue
     assert isinstance(ev, dict) and "t" in ev and "kind" in ev, ev
+    assert last_t is None or ev["t"] >= last_t, f"line {i + 1}: t decreased: {ev}"
+    last_t = ev["t"]
     n += 1
 assert n > 0, "trace.jsonl is empty"
-print(f"trace.jsonl: {n} events, all parse")
+print(f"trace.jsonl: {n} events, all parse, time never decreases")
 
 # Prometheus text: the registry counters the report is built from exist.
 prom = open(f"{d}/metrics.prom").read()

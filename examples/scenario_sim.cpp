@@ -493,9 +493,8 @@ int main(int argc, char** argv) {
       for (const auto& c : scenario.clusters) {
         chrome.cluster_names.push_back(c.machine.name);
       }
-      const faucets::obs::TraceView merged = grid->merged_trace();
-      faucets::obs::write_chrome_trace(out, grid->merged_spans(), merged,
-                                       chrome);
+      faucets::obs::write_chrome_trace(out, grid->merged_spans(),
+                                       grid->merged_trace(), chrome);
       std::cout << "wrote Chrome trace to " << *opts.chrome_trace
                 << " (load it at https://ui.perfetto.dev)\n";
     }

@@ -349,10 +349,6 @@ const obs::SpanAnalysis& GridSystem::analysis() const {
   return *analysis_;
 }
 
-obs::TraceView GridSystem::merged_trace() const {
-  return obs::TraceView(ctx_.trace());
-}
-
 void GridSystem::schedule_cluster_shutdown(std::size_t i, double when,
                                            bool graceful) {
   FaucetsDaemon* daemon = daemons_.at(i).get();

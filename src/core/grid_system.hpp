@@ -298,16 +298,18 @@ class GridSystem {
   }
 
   // --- export views ---------------------------------------------------------
-  // What the artifact exporters read: the run's metrics registry and span
-  // tracker, and the trace ring as a TraceView sorted into the export order
-  // (time, rank, creator, cseq) — a copy of the surviving events.
+  // What the artifact exporters read: the run's metrics registry, span
+  // tracker and trace ring. The ring is in execution order, which is the
+  // order the trace artifacts are exported in.
   [[nodiscard]] const obs::MetricsRegistry& merged_metrics() const {
     return ctx_.metrics();
   }
   [[nodiscard]] const obs::SpanTracker& merged_spans() const {
     return ctx_.spans();
   }
-  [[nodiscard]] obs::TraceView merged_trace() const;
+  [[nodiscard]] const obs::TraceBuffer& merged_trace() const {
+    return ctx_.trace();
+  }
 
   /// Analyze the span trees and join them with the clients' submission
   /// outcomes. Callable any time; run() caches the end-of-run analysis so a

@@ -7,7 +7,9 @@ namespace faucets {
 BrokerAgent::BrokerAgent(sim::SimContext& ctx, EntityId central, BrokerConfig config)
     : sim::Entity("broker", ctx),
       network_(&ctx.network()),
-      cycle_(*this, *this, central, config.retry) {
+      cycle_(*this, *this, central, config.retry),
+      resend_window_(config.retry.max_attempts *
+                     (kBidTimeout + config.retry.total_budget())) {
   network_->attach(*this);
 }
 
@@ -43,9 +45,9 @@ void BrokerAgent::handle_submit(const proto::SubmitJobRequest& msg) {
   // job was evicted, or the client opened a fresh bidding round) and gets a
   // whole new market cycle.
   if (auto done = replied_.find(key); done != replied_.end()) {
-    if (msg.attempt <= done->second.first) {
+    if (msg.attempt <= done->second.attempt) {
       network_->send(*this, msg.from,
-                     std::make_unique<proto::SubmitJobReply>(done->second.second));
+                     std::make_unique<proto::SubmitJobReply>(done->second.reply));
       return;
     }
     replied_.erase(done);
@@ -69,8 +71,21 @@ void BrokerAgent::handle_submit(const proto::SubmitJobRequest& msg) {
   cycle_.start(id, std::move(order));
 }
 
-void BrokerAgent::on_round_done(RequestId id, const proto::MarketResult& result) {
-  auto it = pending_.find(id);
+void BrokerAgent::evict_replies() {
+  // Entries are queued in caching order. The window's network term can grow
+  // mid-run (a new jitter treatment), so the queue is only nearly sorted; an
+  // entry behind a later one is dropped late, never early.
+  while (!reply_expiry_.empty() && reply_expiry_.front().first <= now()) {
+    const auto it = replied_.find(reply_expiry_.front().second);
+    // A genuine resubmission re-cached this key later: that entry is newer.
+    if (it != replied_.end() && it->second.expires <= now()) replied_.erase(it);
+    reply_expiry_.pop_front();
+  }
+}
+
+void BrokerAgent::on_round_done(RequestId round, const proto::MarketResult& result) {
+  evict_replies();
+  auto it = pending_.find(round);
   if (it == pending_.end()) return;
   const Pending client = it->second;
   pending_.erase(it);
@@ -79,12 +94,20 @@ void BrokerAgent::on_round_done(RequestId id, const proto::MarketResult& result)
   } else {
     ++failed_;
   }
-  cycle_.close(id);
+  cycle_.close(round);
   const auto key = std::make_pair(client.client, client.client_request);
   proto::SubmitJobReply reply;
   reply.request = client.client_request;
   reply.result = result;
-  replied_[key] = {client.client_attempt, reply};
+  // The last resend of this attempt left the client within resend_window_
+  // of its first send, which precedes now, and spends at most the network's
+  // worst-case delay on the wire.
+  const double expires =
+      now() + resend_window_ +
+      network_->delay(client.client, id(), proto::SubmitJobRequest::kBytes) +
+      network_->faults().config().jitter;
+  replied_[key] = Replied{client.client_attempt, reply, expires};
+  reply_expiry_.emplace_back(expires, key);
   network_->send(*this, client.client,
                  std::make_unique<proto::SubmitJobReply>(std::move(reply)));
   active_.erase(key);

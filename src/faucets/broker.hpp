@@ -12,6 +12,7 @@
 // deduplicating client resends and caching the reply.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -43,6 +44,8 @@ class BrokerAgent final : public sim::Entity, private MarketCycle::Owner {
   [[nodiscard]] std::uint64_t regulated_out() const noexcept {
     return cycle_.regulated_out();
   }
+  /// Final replies still cached for client resends.
+  [[nodiscard]] std::size_t cached_replies() const noexcept { return replied_.size(); }
 
  private:
   /// Whom a brokered round answers.
@@ -51,9 +54,19 @@ class BrokerAgent final : public sim::Entity, private MarketCycle::Owner {
     RequestId client_request;
     std::uint32_t client_attempt = 0;
   };
+  using ClientKey = std::pair<EntityId, RequestId>;
+  /// A cached final reply and the sim time after which no resend of its
+  /// attempt can still arrive.
+  struct Replied {
+    std::uint32_t attempt = 0;
+    proto::SubmitJobReply reply;
+    double expires = 0.0;
+  };
 
   void handle_submit(const proto::SubmitJobRequest& msg);
   void on_round_done(RequestId id, const proto::MarketResult& result) override;
+  /// Drop cached replies whose resend window has closed.
+  void evict_replies();
 
   [[nodiscard]] const market::BidEvaluator& evaluator_for(
       proto::SelectionCriteria criteria) const;
@@ -68,10 +81,14 @@ class BrokerAgent final : public sim::Entity, private MarketCycle::Owner {
   /// Deduplication of client resends: one live brokered cycle per
   /// (client, client request), and the final reply is cached so a retried
   /// SubmitJobRequest whose reply was lost gets the identical answer.
-  std::map<std::pair<EntityId, RequestId>, RequestId> active_;
-  std::map<std::pair<EntityId, RequestId>,
-           std::pair<std::uint32_t, proto::SubmitJobReply>>
-      replied_;
+  std::map<ClientKey, RequestId> active_;
+  std::map<ClientKey, Replied> replied_;
+  /// Cached replies in caching order, for eviction once their window closes.
+  std::deque<std::pair<double, ClientKey>> reply_expiry_;
+  /// How long a client can keep resending one attempt: its whole submit
+  /// schedule, max_attempts x (kBidTimeout + the retry budget). Clients
+  /// share the broker's retry policy (GridSystem hands both GridConfig::retry).
+  double resend_window_;
   std::uint64_t submissions_ = 0;
   std::uint64_t placed_ = 0;
   std::uint64_t failed_ = 0;

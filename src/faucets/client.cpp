@@ -104,7 +104,7 @@ void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
 
 void FaucetsClient::run_source(job::WorkloadSource& source) {
   // Called from outside the event loop: claim creation attribution so the
-  // submission timers carry this client's own creation stamp.
+  // submission timers are attributed to this client.
   engine().set_current_entity(id().value());
   source_ = &source;
   login();
@@ -127,8 +127,8 @@ void FaucetsClient::arm_next_submission() {
 
 void FaucetsClient::on_submission_due() {
   job::JobRequest req = source_->next();
-  // Re-arm before submitting: the chain's creation stamps then depend only
-  // on the source's timeline, never on what submit() does.
+  // Re-arm before submitting: the timer's place among same-time events then
+  // depends only on the source's timeline, never on what submit() schedules.
   arm_next_submission();
   submit(req.contract);
 }

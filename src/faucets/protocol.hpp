@@ -253,8 +253,9 @@ struct SubmitJobRequest final : sim::Message {
   /// the broker's RFB/award spans hang off the right tree.
   SpanId span;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kSubmit;
+  static constexpr std::size_t kBytes = 1280;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override { return 1280; }
+  [[nodiscard]] std::size_t size_bytes() const noexcept override { return kBytes; }
 };
 
 struct SubmitJobReply final : sim::Message {

@@ -1,51 +1,19 @@
 #include "src/obs/exporters.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/obs/format.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/spans.hpp"
 #include "src/obs/trace.hpp"
 
 namespace faucets::obs {
 namespace {
-
-/// Shortest round-trippable decimal; JSON has no Inf/NaN so map those to 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 template <typename Tag>
 std::string json_id(Id<Tag> id) {
@@ -55,19 +23,6 @@ std::string json_id(Id<Tag> id) {
 }  // namespace
 
 // ----------------------------------------------------------------- JSONL
-
-namespace {
-
-template <typename TraceLike>
-void write_trace_jsonl_impl(std::ostream& os, const TraceLike& trace) {
-  if (trace.dropped() > 0) {
-    os << "{\"meta\":\"trace\",\"dropped\":" << trace.dropped()
-       << ",\"total_recorded\":" << trace.total_recorded() << "}\n";
-  }
-  trace.for_each([&](const TraceEvent& ev) { write_trace_event_jsonl(os, ev); });
-}
-
-}  // namespace
 
 void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev) {
   os << "{\"t\":" << json_number(ev.time) << ",\"entity\":"
@@ -104,35 +59,17 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev) {
 }
 
 void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace) {
-  write_trace_jsonl_impl(os, trace);
-}
-
-void write_trace_jsonl(std::ostream& os, const TraceView& trace) {
-  write_trace_jsonl_impl(os, trace);
+  if (trace.dropped() > 0) {
+    os << "{\"meta\":\"trace\",\"dropped\":" << trace.dropped()
+       << ",\"total_recorded\":" << trace.total_recorded() << "}\n";
+  }
+  trace.for_each([&](const TraceEvent& ev) { write_trace_event_jsonl(os, ev); });
 }
 
 // ------------------------------------------------------------- Prometheus
 
-namespace {
-
-/// Split `foo_total{cluster="x"}` into base name and label block.
-void split_labels(const std::string& name, std::string& base, std::string& labels) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) {
-    base = name;
-    labels.clear();
-  } else {
-    base = name.substr(0, brace);
-    labels = name.substr(brace + 1, name.size() - brace - 2);  // strip { }
-  }
-}
-
-}  // namespace
-
-namespace {
-
-void write_prometheus_impl(std::ostream& os, const MetricsRegistry& metrics,
-                           std::uint64_t trace_dropped) {
+void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
+                      const TraceBuffer* trace) {
   std::unordered_set<std::string> typed;  // base names already announced
   metrics.for_each([&](const MetricsRegistry::Entry& e) {
     std::string base;
@@ -175,24 +112,12 @@ void write_prometheus_impl(std::ostream& os, const MetricsRegistry& metrics,
       }
     }
   });
-  if (trace_dropped > 0) {
+  if (trace != nullptr && trace->dropped() > 0) {
     os << "# HELP faucets_trace_dropped_total Trace events lost to the "
           "bounded ring; the exported window is truncated\n"
        << "# TYPE faucets_trace_dropped_total counter\n"
-       << "faucets_trace_dropped_total " << trace_dropped << '\n';
+       << "faucets_trace_dropped_total " << trace->dropped() << '\n';
   }
-}
-
-}  // namespace
-
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceBuffer* trace) {
-  write_prometheus_impl(os, metrics, trace != nullptr ? trace->dropped() : 0);
-}
-
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace) {
-  write_prometheus_impl(os, metrics, trace != nullptr ? trace->dropped() : 0);
 }
 
 // ----------------------------------------------------------- Chrome trace
@@ -201,6 +126,7 @@ namespace {
 
 constexpr std::int64_t kMarketPid = 1;
 constexpr std::int64_t kClusterPidBase = 100;
+constexpr double kUsPerSimSecond = 1e6;  // sim seconds -> trace microseconds
 
 struct ChromeWriter {
   std::ostream& os;
@@ -269,12 +195,9 @@ std::string cluster_display_name(const ChromeTraceOptions& options, ClusterId id
 
 }  // namespace
 
-namespace {
-
-template <typename TraceLike>
-void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
-                             const TraceLike& trace,
-                             const ChromeTraceOptions& options) {
+void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
+                        const TraceBuffer& trace,
+                        const ChromeTraceOptions& options) {
   ChromeWriter w{os};
   w.open(trace.dropped());
 
@@ -307,7 +230,6 @@ void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
 
   std::unordered_set<std::uint64_t> named_job_threads;   // (pid<<32)|tid keys
   std::unordered_set<std::uint64_t> named_market_threads;
-  const double scale = options.us_per_sim_second;
 
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans.spans()[i];
@@ -346,10 +268,11 @@ void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
     const std::string name(to_string(s.kind));
     const char* cat = cluster_side ? "cluster" : "market";
     if (s.instant()) {
-      w.instant(pid, tid, name, cat, s.start * scale, args);
+      w.instant(pid, tid, name, cat, s.start * kUsPerSimSecond, args);
     } else {
       const double end = s.open() ? horizon : s.end;
-      w.slice(pid, tid, name, cat, s.start * scale, (end - s.start) * scale, args);
+      w.slice(pid, tid, name, cat, s.start * kUsPerSimSecond,
+              (end - s.start) * kUsPerSimSecond, args);
     }
   }
 
@@ -359,25 +282,11 @@ void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
       const std::string args =
           "\"peer\":" + json_id(ev.payload.net.peer) + ",\"reason\":\"" +
           std::string(to_string(ev.payload.net.reason)) + '"';
-      w.instant(kMarketPid, 0, "net_drop", "net", ev.time * scale, args);
+      w.instant(kMarketPid, 0, "net_drop", "net", ev.time * kUsPerSimSecond, args);
     }
   });
 
   w.close();
-}
-
-}  // namespace
-
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceBuffer& trace,
-                        const ChromeTraceOptions& options) {
-  write_chrome_trace_impl(os, spans, trace, options);
-}
-
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceView& trace,
-                        const ChromeTraceOptions& options) {
-  write_chrome_trace_impl(os, spans, trace, options);
 }
 
 }  // namespace faucets::obs

@@ -16,7 +16,6 @@
 namespace faucets::obs {
 
 class TraceBuffer;
-class TraceView;
 class MetricsRegistry;
 class SpanTracker;
 struct TraceEvent;
@@ -26,34 +25,26 @@ struct TraceEvent;
 /// /traces/recent endpoint reuses this so live and post-hoc JSONL agree.
 void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev);
 
-/// One JSON object per line per trace event. When the bounded ring dropped
+/// One JSON object per line per trace event, in the ring's order, which is
+/// execution order: `t` never decreases. When the bounded ring dropped
 /// events, the first line is a meta object ({"meta":"trace","dropped":N,...})
 /// so consumers know the window is truncated instead of silently partial.
 void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace);
-/// Same format over the stamp-sorted view (see TraceView).
-void write_trace_jsonl(std::ostream& os, const TraceView& trace);
 
 /// Prometheus text exposition of the metrics snapshot. When `trace` is given
 /// and its ring dropped events, a synthetic faucets_trace_dropped_total
 /// counter is appended so scrapes surface the data loss.
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
                       const TraceBuffer* trace = nullptr);
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace);
 
 struct ChromeTraceOptions {
   /// Display names for cluster process tracks, parallel-indexed by
   /// ClusterId value; clusters beyond the list fall back to "cluster-N".
   std::vector<std::string> cluster_names;
-  /// Simulated seconds are scaled by this factor into trace microseconds.
-  double us_per_sim_second = 1e6;
 };
 
 void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
                         const TraceBuffer& trace,
-                        const ChromeTraceOptions& options = {});
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceView& trace,
                         const ChromeTraceOptions& options = {});
 
 }  // namespace faucets::obs

@@ -8,7 +8,6 @@ MonitorSuite::MonitorSuite(MonitorConfig config, MonitorProbes probes)
     : config_(config), probes_(std::move(probes)) {}
 
 void MonitorSuite::report_stall(double stalled_at, double host_seconds) {
-  if (!config_.enabled) return;
   MonitorState& s = states_[static_cast<std::size_t>(MonitorKind::kBarrierStall)];
   s.threshold = config_.stall_timeout;
   s.last_observed = host_seconds;

@@ -26,7 +26,6 @@
 namespace faucets::obs::live {
 
 struct MonitorConfig {
-  bool enabled = true;
   /// |barter ledger total - opening total| above this is a conservation
   /// violation (matches the CI exit assert).
   double ledger_residual_max = 1e-9;
@@ -39,8 +38,8 @@ struct MonitorConfig {
 };
 
 /// Read-only views into live grid state, called at publish boundaries on
-/// the simulation thread. All must be non-null
-/// when monitors are enabled; each must be allocation-free.
+/// the simulation thread. All must be non-null when monitors are enabled
+/// (LiveConfig::monitors); each must be allocation-free.
 struct MonitorProbes {
   /// Signed barter-credit conservation residual (total - opening).
   std::function<double()> ledger_residual;
@@ -75,7 +74,6 @@ class MonitorSuite {
   /// ring). `final_check` switches the lease monitor to exit semantics.
   template <typename Emit>
   void evaluate(double sim_now, bool final_check, Emit&& emit) {
-    if (!config_.enabled) return;
     check(MonitorKind::kLedgerConservation, sim_now,
           probes_.ledger_residual ? abs_of(probes_.ledger_residual()) : 0.0,
           config_.ledger_residual_max, emit);
@@ -128,7 +126,6 @@ class MonitorSuite {
     return n;
   }
   [[nodiscard]] bool healthy() const noexcept { return total_alerts() == 0; }
-  [[nodiscard]] const MonitorConfig& config() const noexcept { return config_; }
 
  private:
   static constexpr std::size_t kPendingCap = 16;

@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "src/obs/exporters.hpp"
+#include "src/obs/format.hpp"
 
 namespace faucets::obs::live {
 
 namespace {
+
+constexpr std::chrono::milliseconds kProgressInterval{500};  // ticker repaints
 
 double ticks_to_seconds(std::uint64_t ticks) {
   return static_cast<double>(ticks) * HostClock::ns_per_tick() * 1e-9;
@@ -25,44 +27,15 @@ std::uint64_t seconds_to_ticks(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e9 / ns);
 }
 
-/// Shortest round-trippable decimal; JSON has no Inf/NaN so map those to 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Split `foo_total{cluster="x"}` into base name and label block (same rule
-/// as the Prometheus artifact exporter).
-void split_labels(const std::string& name, std::string& base,
-                  std::string& labels) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) {
-    base = name;
-    labels.clear();
-  } else {
-    base = name.substr(0, brace);
-    labels = name.substr(brace + 1, name.size() - brace - 2);
-  }
-}
-
 }  // namespace
 
 LivePlane::LivePlane(LiveConfig config, Bindings bindings)
     : config_(config),
       bindings_(std::move(bindings)),
-      suite_(
-          [&config] {
-            MonitorConfig mc = config.monitor;
-            mc.enabled = mc.enabled && config.monitors;
-            return mc;
-          }(),
-          bindings_.monitors) {
+      suite_(config.monitor, bindings_.monitors) {
   (void)HostClock::ns_per_tick();  // calibrate once, off the publish path
   publish_interval_ticks_ = seconds_to_ticks(config_.publish_interval);
   snapshot_.recent.resize(config_.recent_events);
-  snapshot_.recent_stamps.resize(config_.recent_events);
   if (config_.serve) {
     server_.start(
         config_.port,
@@ -143,9 +116,11 @@ void LivePlane::publish_locked(double sim_now, bool final_check) {
   last_sim_time_bits_.store(std::bit_cast<std::uint64_t>(sim_now),
                             std::memory_order_relaxed);
 
-  suite_.evaluate(sim_now, final_check, [this](const TraceEvent& ev) {
-    if (bindings_.trace != nullptr) bindings_.trace->record(ev);
-  });
+  if (config_.monitors) {
+    suite_.evaluate(sim_now, final_check, [this](const TraceEvent& ev) {
+      if (bindings_.trace != nullptr) bindings_.trace->record(ev);
+    });
+  }
 }
 
 void LivePlane::capture() {
@@ -219,11 +194,7 @@ void LivePlane::capture() {
   if (b.trace != nullptr) {
     const std::size_t have = b.trace->size();
     const std::size_t n = std::min(have, snap.recent.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = have - n + i;
-      snap.recent[i] = b.trace->at(idx);
-      snap.recent_stamps[i] = b.trace->stamp_at(idx);
-    }
+    for (std::size_t i = 0; i < n; ++i) snap.recent[i] = b.trace->at(have - n + i);
     snap.recent_n = n;
     snap.trace_dropped = b.trace->dropped();
   }
@@ -241,10 +212,14 @@ void LivePlane::end_pause() noexcept {
 }
 
 void LivePlane::check_stall() {
-  if (!run_active_.load(std::memory_order_relaxed)) return;
+  if (!config_.monitors || !run_active_.load(std::memory_order_relaxed)) return;
   if (pause_held_.load(std::memory_order_acquire)) return;
   const std::uint64_t last = last_advance_ticks_.load(std::memory_order_relaxed);
-  const double stalled_for = ticks_to_seconds(HostClock::ticks() - last);
+  const std::uint64_t now = HostClock::ticks();
+  // The sim thread may stamp an advance after this thread read its clock:
+  // that is progress, not an unsigned wrap into a stall of 2^64 ticks.
+  if (now <= last) return;
+  const double stalled_for = ticks_to_seconds(now - last);
   if (stalled_for <= config_.monitor.stall_timeout) return;
   const double sim_time = std::bit_cast<double>(
       last_sim_time_bits_.load(std::memory_order_relaxed));
@@ -255,8 +230,7 @@ void LivePlane::check_stall() {
 void LivePlane::ticker_loop() {
   std::unique_lock<std::mutex> lk(ticker_mu_);
   while (!ticker_stop_) {
-    ticker_cv_.wait_for(
-        lk, std::chrono::duration<double>(config_.progress_interval));
+    ticker_cv_.wait_for(lk, kProgressInterval);
     if (ticker_stop_) break;
     if (!server_.serving()) check_stall();  // no server thread to host it
     render_ticker_line(/*last=*/false);
@@ -373,7 +347,7 @@ std::string LivePlane::render_healthz_locked() const {
      << "\",\"alerts_total\":" << suite_.total_alerts()
      << ",\"stalled\":" << (stall.firing ? "true" : "false")
      << ",\"monitors_enabled\":"
-     << (suite_.config().enabled ? "true" : "false")
+     << (config_.monitors ? "true" : "false")
      << ",\"sim_time\":" << json_number(progress_.sim_time)
      << ",\"publishes\":" << progress_.publish_seq << ",\"monitors\":[";
   for (std::size_t m = 0; m < kMonitorKindCount; ++m) {
@@ -462,16 +436,11 @@ std::string LivePlane::render_metrics_locked() const {
 }
 
 std::string LivePlane::render_traces_locked() const {
-  // The ring tail in the trace artifact's export order (see TraceView).
-  const Snapshot& snap = snapshot_;
-  std::vector<std::size_t> order(snap.recent_n);
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&snap](std::size_t a, std::size_t b) {
-    return export_order_less(snap.recent[a].time, snap.recent_stamps[a],
-                             snap.recent[b].time, snap.recent_stamps[b]);
-  });
+  // The ring tail in ring order, which is the trace artifact's order.
   std::ostringstream os;
-  for (const std::size_t i : order) write_trace_event_jsonl(os, snap.recent[i]);
+  for (std::size_t i = 0; i < snapshot_.recent_n; ++i) {
+    write_trace_event_jsonl(os, snapshot_.recent[i]);
+  }
   return os.str();
 }
 

@@ -50,8 +50,6 @@ struct LiveConfig {
   double publish_interval = 0.1;
   /// Last-N trace-ring events kept for /traces/recent.
   std::size_t recent_events = 256;
-  /// Host seconds between ticker repaints.
-  double progress_interval = 0.5;
   /// Server accept-poll timeout; also the stall watchdog's check cadence.
   int poll_interval_ms = 100;
   MonitorConfig monitor{};
@@ -137,9 +135,8 @@ class LivePlane {
     std::vector<std::uint64_t> hist_buckets;
     std::vector<std::uint64_t> hist_counts;
     std::vector<double> hist_sums;
-    // Trace-ring tail (newest recent_events records) + export-order stamps.
+    // Trace-ring tail (newest recent_events records), oldest first.
     std::vector<TraceEvent> recent;
-    std::vector<TraceStamp> recent_stamps;
     std::size_t recent_n = 0;
     std::uint64_t trace_dropped = 0;
   };

@@ -5,9 +5,6 @@
 // serialize it after the run.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 #include "src/obs/metrics.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/obs/spans.hpp"
@@ -15,16 +12,8 @@
 
 namespace faucets::obs {
 
-struct ObservabilityConfig {
-  /// Ring capacity in events; rounded up to a power of two.
-  std::size_t trace_capacity = 1 << 16;
-};
-
 class Observability {
  public:
-  explicit Observability(ObservabilityConfig config = {})
-      : trace_(config.trace_capacity) {}
-
   [[nodiscard]] TraceBuffer& trace() noexcept { return trace_; }
   [[nodiscard]] const TraceBuffer& trace() const noexcept { return trace_; }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string_view>
 
+#include "src/obs/format.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/ids.hpp"
@@ -17,16 +18,6 @@ std::string fmt(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// CSV values round-trip exactly: the balance invariant is checked on the
-/// emitted text, so %.6g's rounding (~1e-3 over 1e4-second makespans) would
-/// break it.
-std::string fmt_exact(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -229,10 +220,10 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
           "<th>last&nbsp;observed</th><th>threshold</th></tr></thead><tbody>\n";
     for (const AlertRow& a : options.alerts) {
       os << "<tr><td>" << html_escape(a.monitor) << "</td><td>" << a.count
-         << "</td><td>" << fmt_exact(a.first_sim_time) << "</td><td>"
-         << fmt_exact(a.last_sim_time) << "</td><td>"
-         << fmt_exact(a.last_observed) << "</td><td>"
-         << fmt_exact(a.threshold) << "</td></tr>\n";
+         << "</td><td>" << json_number(a.first_sim_time) << "</td><td>"
+         << json_number(a.last_sim_time) << "</td><td>"
+         << json_number(a.last_observed) << "</td><td>"
+         << json_number(a.threshold) << "</td></tr>\n";
     }
     os << "</tbody></table>\n";
   }
@@ -253,6 +244,9 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
   os << "</body></html>\n";
 }
 
+// CSV values round-trip exactly (json_number's %.17g): the balance invariant
+// is checked on the emitted text, so %.6g's rounding (~1e-3 over 1e4-second
+// makespans) would break it.
 void write_phases_csv(std::ostream& os, const SpanAnalysis& analysis) {
   os << "root,user,cluster,job,submit,end,makespan,outcome";
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
@@ -262,9 +256,9 @@ void write_phases_csv(std::ostream& os, const SpanAnalysis& analysis) {
   for (const JobPhaseRecord& rec : analysis.jobs) {
     os << rec.root.value() << ',' << id_or_dash(rec.user) << ','
        << id_or_dash(rec.cluster) << ',' << id_or_dash(rec.job) << ','
-       << fmt_exact(rec.submit) << ',' << fmt_exact(rec.end) << ','
-       << fmt_exact(rec.makespan()) << ',' << to_string(rec.outcome);
-    for (const double v : rec.phases) os << ',' << fmt_exact(v);
+       << json_number(rec.submit) << ',' << json_number(rec.end) << ','
+       << json_number(rec.makespan()) << ',' << to_string(rec.outcome);
+    for (const double v : rec.phases) os << ',' << json_number(v);
     os << ',' << rec.bids << ',' << rec.rfb_rounds << ',' << rec.award_attempts
        << ',' << rec.reconfigs << ',' << rec.evictions << '\n';
   }
@@ -274,9 +268,9 @@ void write_series_csv(std::ostream& os, const Sampler& sampler) {
   os << "series,unit,t_begin,t_end,min,mean,max,count\n";
   sampler.for_each([&](const Series& s) {
     for (const SamplePoint& p : s.points()) {
-      os << csv_quote(s.name()) << ',' << s.unit() << ',' << fmt_exact(p.t_begin)
-         << ',' << fmt_exact(p.t_end) << ',' << fmt_exact(p.min) << ','
-         << fmt_exact(p.mean()) << ',' << fmt_exact(p.max) << ',' << p.count
+      os << csv_quote(s.name()) << ',' << s.unit() << ',' << json_number(p.t_begin)
+         << ',' << json_number(p.t_end) << ',' << json_number(p.min) << ','
+         << json_number(p.mean()) << ',' << json_number(p.max) << ',' << p.count
          << '\n';
     }
   });

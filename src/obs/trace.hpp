@@ -9,7 +9,6 @@
 // events back oldest-first without reparsing strings.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -193,28 +192,6 @@ inline constexpr std::size_t kMonitorKindCount =
   return "?";
 }
 
-/// Stamp attached to a trace record at record() time: the executing event's
-/// scheduling rank and creation identity (see sim::Engine). (time, rank,
-/// creator, cseq) orders executions by what they are rather than by heap
-/// insertion order; TraceView exports in that order.
-struct TraceStamp {
-  double rank = 0.0;
-  std::uint64_t creator = 0;
-  std::uint64_t cseq = 0;
-};
-
-/// The export order of trace records: by time, then by stamp. Records of
-/// one executing event compare equal, so a stable sort keeps their ring
-/// order.
-[[nodiscard]] inline bool export_order_less(double ta, const TraceStamp& sa,
-                                            double tb,
-                                            const TraceStamp& sb) noexcept {
-  if (ta != tb) return ta < tb;
-  if (sa.rank != sb.rank) return sa.rank < sb.rank;
-  if (sa.creator != sb.creator) return sa.creator < sb.creator;
-  return sa.cseq < sb.cseq;
-}
-
 /// One trace record: what happened, to whom, when. Trivially copyable —
 /// recording is a struct copy into the ring, never an allocation.
 struct TraceEvent {
@@ -328,34 +305,26 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 
 // ------------------------------------------------------------------- buffer
 
+/// Ring capacity of every simulation's trace store, in events.
+inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
+
 /// Bounded trace store: a power-of-two ring. When full, each new record
 /// overwrites the oldest one — O(1), unlike the old recorder's O(n)
 /// vector::erase compaction — mirroring AppSpector's display buffer that
-/// keeps recent output available to late-joining watchers.
+/// keeps recent output available to late-joining watchers. Records sit in
+/// the order they were made, which is the engine's execution order
+/// (time, then insertion sequence); every exporter emits them in that order.
 class TraceBuffer {
  public:
   /// `capacity` is rounded up to the next power of two (minimum 1).
-  explicit TraceBuffer(std::size_t capacity = 1 << 16)
-      : ring_(round_up_pow2(capacity)),
-        stamps_(ring_.size()),
-        mask_(ring_.size() - 1) {}
+  explicit TraceBuffer(std::size_t capacity = kTraceCapacity)
+      : ring_(round_up_pow2(capacity)), mask_(ring_.size() - 1) {}
 
   /// Record one event. Never allocates: the ring is preallocated and the
-  /// event is trivially copyable. Stamps live in a parallel ring so the
-  /// event struct itself stays one cache line.
+  /// event is trivially copyable.
   void record(const TraceEvent& ev) noexcept {
-    const std::size_t slot = static_cast<std::size_t>(head_) & mask_;
-    ring_[slot] = ev;
-    if (stamp_fn_ != nullptr) stamps_[slot] = stamp_fn_(stamp_src_);
+    ring_[static_cast<std::size_t>(head_) & mask_] = ev;
     ++head_;
-  }
-
-  /// Source of export-order stamps (the owning engine, behind a plain
-  /// function pointer so this header stays independent of the sim layer).
-  using StampFn = TraceStamp (*)(const void*);
-  void set_stamp_source(StampFn fn, const void* src) noexcept {
-    stamp_fn_ = fn;
-    stamp_src_ = src;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -372,12 +341,6 @@ class TraceBuffer {
   /// i-th surviving event, oldest first (i in [0, size())).
   [[nodiscard]] const TraceEvent& at(std::size_t i) const noexcept {
     return ring_[static_cast<std::size_t>(head_ - size() + i) & mask_];
-  }
-
-  /// Export-order stamp of the i-th surviving event (same indexing as
-  /// at(); zeroed when no stamp source was wired).
-  [[nodiscard]] const TraceStamp& stamp_at(std::size_t i) const noexcept {
-    return stamps_[static_cast<std::size_t>(head_ - size() + i) & mask_];
   }
 
   /// Visit surviving events oldest-first.
@@ -418,64 +381,8 @@ class TraceBuffer {
   }
 
   std::vector<TraceEvent> ring_;  // preallocated, size is a power of two
-  std::vector<TraceStamp> stamps_;  // parallel to ring_, same indexing
   std::size_t mask_;
   std::uint64_t head_ = 0;  // total records ever; write index is head_ & mask_
-  StampFn stamp_fn_ = nullptr;
-  const void* stamp_src_ = nullptr;
-};
-
-/// A flattened, read-only view with the same read API as TraceBuffer: the
-/// ring's surviving events sorted by (time, stamp, ring order). This is the
-/// order the trace artifacts are exported in (GridSystem::merged_trace()).
-/// The ring itself is in execution order, which breaks same-time ties by
-/// heap insertion; the stamp order names each execution by its scheduling
-/// rank and creator instead.
-class TraceView {
- public:
-  TraceView() = default;
-
-  explicit TraceView(const TraceBuffer& ring)
-      : total_(ring.total_recorded()), capacity_(ring.capacity()) {
-    // Sort compact keys rather than indices into the ring, so comparisons
-    // stay within one contiguous array.
-    struct Key {
-      double time;
-      TraceStamp stamp;
-      std::size_t idx;
-    };
-    const std::size_t n = ring.size();
-    std::vector<Key> order;
-    order.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      order.push_back(Key{ring.at(i).time, ring.stamp_at(i), i});
-    }
-    std::stable_sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
-      return export_order_less(a.time, a.stamp, b.time, b.stamp);
-    });
-    events_.reserve(n);
-    for (const Key& k : order) events_.push_back(ring.at(k.idx));
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ - events_.size();
-  }
-  [[nodiscard]] const TraceEvent& at(std::size_t i) const noexcept {
-    return events_[i];
-  }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const TraceEvent& ev : events_) fn(ev);
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-  std::uint64_t total_ = 0;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace faucets::obs

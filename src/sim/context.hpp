@@ -27,8 +27,6 @@ struct SimConfig {
   NetworkConfig network{};
   /// Seed of the run RNG; the default matches faucets::Rng's default.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Capacity of the bounded trace ring (rounded up to a power of two).
-  std::size_t trace_capacity = 1 << 16;
 };
 
 /// Owns the Engine, Network, observability bundle, and run RNG of one
@@ -38,18 +36,7 @@ class SimContext {
  public:
   SimContext() : SimContext(SimConfig{}) {}
   explicit SimContext(SimConfig config)
-      : obs_(obs::ObservabilityConfig{.trace_capacity = config.trace_capacity}),
-        network_(engine_, config.network, &obs_),
-        rng_(config.seed) {
-    // Trace records carry the executing event's stamp so the exported view
-    // sorts by (time, rank, creator, cseq); see obs::TraceView.
-    obs_.trace().set_stamp_source(
-        [](const void* src) {
-          const auto st = static_cast<const Engine*>(src)->exec_stamp();
-          return obs::TraceStamp{st.rank, st.creator, st.cseq};
-        },
-        &engine_);
-  }
+      : network_(engine_, config.network, &obs_), rng_(config.seed) {}
   explicit SimContext(NetworkConfig network) : SimContext(SimConfig{.network = network}) {}
 
   SimContext(const SimContext&) = delete;

@@ -77,32 +77,18 @@ EventHandle Engine::schedule_at(SimTime when, SmallFunction fn) {
     assert(s <= kSlotMask && "event pool exceeds 2^24 pending events");
     slots_.emplace_back();
     pos_.push_back(-1);
-    rank_.push_back(0.0);
     creator_.push_back(kNoEntity);
-    cseq_.push_back(0);
-    exec_entity_.push_back(kNoEntity);
   } else {
     s = free_.back();
     free_.pop_back();
   }
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
-  rank_[s] = now_;
-  creator_[s] = current_entity_;
-  cseq_[s] = take_cseq();
-  exec_entity_[s] = current_entity_;  // timers inherit their scheduler
+  creator_[s] = current_entity_;  // timers inherit their scheduler
   pos_[s] = static_cast<std::int32_t>(heap_.size());
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | s});
   sift_up(heap_.size() - 1);
   return EventHandle{this, s, slot.generation};
-}
-
-std::uint64_t Engine::take_cseq() {
-  if (current_entity_ == kNoEntity) return orphan_seq_++;
-  if (current_entity_ >= entity_seq_.size()) {
-    entity_seq_.resize(static_cast<std::size_t>(current_entity_) + 1, 0);
-  }
-  return entity_seq_[static_cast<std::size_t>(current_entity_)]++;
 }
 
 void Engine::cancel_slot(std::uint32_t slot, std::uint32_t generation) noexcept {
@@ -121,10 +107,8 @@ bool Engine::step(SimTime until) {
   // Detach the closure and retire the slot *before* invoking: the closure
   // may schedule (growing slots_), cancel, or even land in this very slot.
   SmallFunction fn = std::move(slots_[s].fn);
-  cur_rank_ = rank_[s];
   cur_creator_ = creator_[s];
-  cur_cseq_ = cseq_[s];
-  current_entity_ = exec_entity_[s];
+  current_entity_ = cur_creator_;
   pop_root();
   retire_slot(s);
   ++executed_;

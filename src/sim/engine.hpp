@@ -102,14 +102,12 @@ class Engine {
     return heap_.empty() ? kForever : heap_[0].time;
   }
 
-  // --- event identity ------------------------------------------------------
+  // --- attribution ---------------------------------------------------------
   //
-  // Every event creation (timer or message delivery) is stamped with the
-  // time it was scheduled (its rank), the identity of the entity whose code
-  // performed it, and that entity's own monotone creation counter. The heap
-  // itself orders by (time, insertion seq); the stamp is what trace records
-  // carry, so the exported trace view sorts by (time, rank, creator, cseq)
-  // — a key that names a logical event independent of insertion order.
+  // Every event creation (timer or message delivery) records the entity
+  // whose code performed it. A timer runs attributed to its creator, so the
+  // timers it arms inherit the same entity; the Network re-attributes a
+  // delivery to its receiver before the handler runs.
 
   /// Sentinel creator for creations outside any entity's code.
   static constexpr std::uint64_t kNoEntity = ~std::uint64_t{0};
@@ -124,15 +122,12 @@ class Engine {
     return current_entity_;
   }
 
-  /// Stamp of the event currently being executed (valid during a handler).
+  /// Attribution of the event currently being executed (valid during a
+  /// handler).
   struct ExecStamp {
-    SimTime rank = 0.0;
     std::uint64_t creator = kNoEntity;
-    std::uint64_t cseq = 0;
   };
-  [[nodiscard]] ExecStamp exec_stamp() const noexcept {
-    return {cur_rank_, cur_creator_, cur_cseq_};
-  }
+  [[nodiscard]] ExecStamp exec_stamp() const noexcept { return {cur_creator_}; }
 
   /// Total slots ever allocated in the pool (monotone; slot reuse keeps this
   /// near the high-water mark of concurrently pending events).
@@ -190,25 +185,16 @@ class Engine {
   void remove_heap_at(std::size_t pos) noexcept;
   void pop_root() noexcept;
   void retire_slot(std::uint32_t slot) noexcept;
-  /// Draw the next creation counter value for the current entity.
-  [[nodiscard]] std::uint64_t take_cseq();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
   std::uint64_t current_entity_ = kNoEntity;
-  std::uint64_t orphan_seq_ = 0;
-  SimTime cur_rank_ = 0.0;              // stamp of the executing event
-  std::uint64_t cur_creator_ = kNoEntity;
-  std::uint64_t cur_cseq_ = 0;
+  std::uint64_t cur_creator_ = kNoEntity;  // creator of the executing event
   std::vector<Slot> slots_;         // slab of pooled callables
   std::vector<std::int32_t> pos_;   // heap position per slot; -1 = not queued
-  std::vector<SimTime> rank_;       // scheduling time per slot
-  std::vector<std::uint64_t> creator_;  // creation stamp per slot
-  std::vector<std::uint64_t> cseq_;
-  std::vector<std::uint64_t> exec_entity_;  // attribution during execution
-  std::vector<std::uint64_t> entity_seq_;   // per-entity creation counters
+  std::vector<std::uint64_t> creator_;  // creating entity per slot
   std::vector<std::uint32_t> free_; // recycled slot numbers
   std::vector<HeapEntry> heap_;     // indexed 4-ary heap
 };

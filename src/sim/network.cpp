@@ -42,7 +42,7 @@ EntityId Network::attach(Entity& entity) {
   entity.network_ = this;
   entities_.emplace(id, &entity);
   // The rest of the entity's constructor runs under its own attribution, so
-  // timers armed there carry the entity's own creation stamp.
+  // timers armed there are attributed to the entity itself.
   engine_->set_current_entity(id.value());
   return id;
 }

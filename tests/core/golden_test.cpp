@@ -255,7 +255,7 @@ Outcome run_chaos(Observer observer) {
 TEST(GoldenRun, LossPartitionAndCrashGrid) {
   expect_golden(run_chaos, 30,
                 {.report = 0x92c011893225e74aULL,
-                 .trace = 0x690e764ebafa782fULL,
+                 .trace = 0xf5bd4bec9a2a79c3ULL,
                  .prometheus = 0x4ffc43be48c1ab8bULL,
                  .chrome = 0xc5c89f19af8390a8ULL});
 }

@@ -47,7 +47,7 @@ std::string grid_ini() {
   return ini.str();
 }
 
-std::vector<obs::TraceEvent> alert_events(const obs::TraceView& view) {
+std::vector<obs::TraceEvent> alert_events(const obs::TraceBuffer& view) {
   std::vector<obs::TraceEvent> out;
   view.for_each([&](const obs::TraceEvent& ev) {
     if (ev.kind == obs::TraceEventKind::kAlert) out.push_back(ev);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/grid_system.hpp"
+#include "src/faucets/market_cycle.hpp"
 #include "src/sched/equipartition.hpp"
 #include "src/sched/payoff_sched.hpp"
 
@@ -29,6 +30,56 @@ class DecliningBidGenerator final : public market::BidGenerator {
   [[nodiscard]] std::optional<double> multiplier(const market::BidContext&) override {
     return std::nullopt;
   }
+};
+
+/// A client that speaks the brokered protocol by hand, so a test can resend
+/// one SubmitJobRequest at a time of its choosing.
+class ResendingClient final : public sim::Entity {
+ public:
+  ResendingClient(sim::SimContext& ctx, EntityId central, EntityId broker)
+      : sim::Entity("resender", ctx), central_(central), broker_(broker) {
+    network().attach(*this);
+  }
+
+  void on_message(const sim::Message& msg) override {
+    if (msg.kind() == sim::MessageKind::kLoginAck) {
+      const auto& reply = sim::message_cast<proto::LoginReply>(msg);
+      session_ = reply.session;
+      user_ = reply.user;
+    } else if (msg.kind() == sim::MessageKind::kSubmitAck) {
+      replies.push_back(sim::message_cast<proto::SubmitJobReply>(msg));
+    }
+  }
+
+  void login() {
+    auto msg = std::make_unique<proto::LoginRequest>();
+    msg->username = "user0";
+    msg->password = "pw-13";  // GridSystem's password for user 0
+    network().send(*this, central_, std::move(msg));
+  }
+
+  /// Send attempt 0 of client request `request`; a repeat is a resend.
+  void submit(std::uint64_t request) {
+    auto msg = std::make_unique<proto::SubmitJobRequest>();
+    msg->request = RequestId{request};
+    msg->session = session_;
+    msg->username = "user0";
+    msg->password = "pw-13";
+    msg->user = user_;
+    msg->contract = qos::make_contract(4, 64, 6400.0, 1.0, 1.0);
+    msg->contract.payoff = qos::PayoffFunction::flat(10.0);
+    network().send(*this, broker_, std::move(msg));
+  }
+
+  std::vector<proto::SubmitJobReply> replies;
+
+ private:
+  sim::Network& network() { return context().network(); }
+
+  EntityId central_;
+  EntityId broker_;
+  SessionId session_;
+  UserId user_;
 };
 
 job::JobRequest simple_job(double t = 0.0) {
@@ -227,6 +278,70 @@ TEST(Broker, EvictionStillReachesClientDirectly) {
   EXPECT_EQ(report.jobs_completed, 1u);
   EXPECT_EQ(report.migrations, 1u);
   EXPECT_EQ(report.clusters[1].completed, 1u);
+}
+
+TEST(Broker, ReplyCacheStaysBoundedOverManyJobs) {
+  auto grid_ptr = core::GridBuilder()
+                      .brokered()
+                      .cluster(make_cluster("a", 0.0008))
+                      .users(2)
+                      .build();
+  core::GridSystem& grid = *grid_ptr;
+  // One 100-second job every 200 s: a reply stays cached for the client's
+  // whole resend window, 4 x (10 + 75) = 340 s under the default policy.
+  std::vector<job::JobRequest> reqs;
+  for (std::size_t i = 0; i < 60; ++i) {
+    job::JobRequest req = simple_job(200.0 * static_cast<double>(i));
+    req.user_index = i % 2;
+    reqs.push_back(std::move(req));
+  }
+  const auto report = grid.run(std::move(reqs), 1e6);
+  EXPECT_EQ(report.jobs_completed, 60u);
+  EXPECT_EQ(grid.broker()->submissions(), 60u);
+  EXPECT_LE(grid.broker()->cached_replies(), 3u)
+      << "replies whose resend window closed must be dropped";
+}
+
+TEST(Broker, ResendInsideTheWindowGetsTheCachedReplyVerbatim) {
+  auto grid_ptr = core::GridBuilder()
+                      .brokered()
+                      .cluster(make_cluster("a", 0.0008))
+                      .users(1)
+                      .build();
+  core::GridSystem& grid = *grid_ptr;
+  ResendingClient client(grid.context(), grid.central().id(), grid.broker()->id());
+  sim::Engine& engine = grid.engine();
+  engine.schedule_at(1.0, [&client] { client.login(); });
+  engine.schedule_at(5.0, [&client] { client.submit(1); });
+  (void)engine.run(100.0);
+  ASSERT_EQ(client.replies.size(), 1u);
+  const proto::MarketResult first = client.replies[0].result;  // replies grows
+  EXPECT_EQ(first.status, proto::SubmissionStatus::kPlaced);
+
+  // The reply "was lost": the same attempt comes back 200 s later, well
+  // inside the window, and gets the cached answer without a second market.
+  engine.schedule_at(300.0, [&client] { client.submit(1); });
+  (void)engine.run(310.0);
+  ASSERT_EQ(client.replies.size(), 2u);
+  const proto::MarketResult& again = client.replies[1].result;
+  EXPECT_EQ(client.replies[1].request, RequestId{1});
+  EXPECT_EQ(again.status, first.status);
+  EXPECT_EQ(again.bids_considered, first.bids_considered);
+  EXPECT_EQ(again.cluster, first.cluster);
+  EXPECT_EQ(again.price, first.price);
+  EXPECT_EQ(again.daemon, first.daemon);
+  EXPECT_EQ(again.job, first.job);
+  EXPECT_EQ(again.promised_completion, first.promised_completion);
+  EXPECT_EQ(grid.broker()->submissions(), 1u);
+  EXPECT_EQ(grid.broker()->cached_replies(), 1u);
+
+  // Once the window has closed, the next finished round drops the entry.
+  const double window = 4 * (kBidTimeout + RetryPolicy{}.total_budget());
+  engine.schedule_at(5.0 + window + 60.0, [&client] { client.submit(2); });
+  (void)engine.run(5.0 + window + 120.0);
+  ASSERT_EQ(client.replies.size(), 3u);
+  EXPECT_EQ(grid.broker()->submissions(), 2u);
+  EXPECT_EQ(grid.broker()->cached_replies(), 1u) << "only request 2 is left";
 }
 
 }  // namespace

@@ -303,18 +303,6 @@ TEST(MonitorSuite, StallIsCountedImmediatelyAndDrainedAtNextPublish) {
   EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 2u);
 }
 
-TEST(MonitorSuite, DisabledSuiteIsInert) {
-  MonitorProbes probes = clean_probes();
-  probes.ledger_residual = [] { return 1e9; };  // wildly violated
-  MonitorConfig config;
-  config.enabled = false;
-  MonitorSuite suite(config, std::move(probes));
-  EXPECT_TRUE(evaluate_collect(suite, 1.0).empty());
-  suite.report_stall(1.0, 1e9);
-  EXPECT_EQ(suite.total_alerts(), 0u);
-  EXPECT_TRUE(suite.healthy());
-}
-
 // -------------------------------------------------------------- LivePlane
 
 /// A plane over a fabricated grid: its own registry + trace ring (which
@@ -439,6 +427,36 @@ TEST(LivePlane, TracesRecentRendersRingTailAsJsonl) {
   EXPECT_NE(res.body.find("\"kind\":\"JOB_COMPLETED\""), std::string::npos);
   // Two lines, newline-terminated.
   EXPECT_EQ(std::count(res.body.begin(), res.body.end(), '\n'), 2);
+}
+
+TEST(LivePlane, DisabledMonitorsAreInert) {
+  // Thresholds a live suite would trip at once: a broken ledger and a 20 ms
+  // stall timeout that the server thread checks every 2 ms.
+  MetricsRegistry metrics;
+  TraceBuffer ring{64};
+  LiveConfig config;
+  config.serve = true;
+  config.monitors = false;
+  config.publish_interval = 0.0;
+  config.poll_interval_ms = 2;
+  config.monitor.stall_timeout = 0.02;
+  LivePlane::Bindings b;
+  b.metrics = &metrics;
+  b.trace = &ring;
+  b.monitors.ledger_residual = [] { return 1e9; };
+  LivePlane plane(config, std::move(b));
+  ASSERT_TRUE(plane.serving());
+
+  plane.begin_run();
+  plane.publish(1.0, /*final_check=*/true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // "stalled"
+  plane.publish(1.0, /*final_check=*/true);
+  EXPECT_EQ(plane.alerts_total(), 0u);
+  EXPECT_EQ(ring.size(), 0u) << "no kAlert reaches the ring";
+  const HttpResponse res = plane.handle("/healthz");
+  EXPECT_EQ(res.status, 200);
+  EXPECT_NE(res.body.find("\"monitors_enabled\":false"), std::string::npos)
+      << res.body;
 }
 
 TEST(LivePlane, UnknownPathIs404) {

@@ -204,12 +204,12 @@ TEST(Engine, LargeCapturesFallBackToHeapAndStillRun) {
   EXPECT_EQ(seen, 3.5);
 }
 
-// --- event identity: the (rank, creator, cseq) stamp trace records carry --
+// --- attribution: the entity each event was created by ---------------------
 
-TEST(Engine, PerEntityCreationCountersAreIndependent) {
+TEST(Engine, SameTimeEventsKeepInsertionOrderAndTheirCreators) {
   Engine engine;
-  std::vector<Engine::ExecStamp> seen;
-  const auto record = [&] { seen.push_back(engine.exec_stamp()); };
+  std::vector<std::uint64_t> seen;
+  const auto record = [&] { seen.push_back(engine.exec_stamp().creator); };
   engine.set_current_entity(2);
   engine.schedule_at(1.0, record);
   engine.set_current_entity(9);
@@ -217,15 +217,8 @@ TEST(Engine, PerEntityCreationCountersAreIndependent) {
   engine.set_current_entity(2);
   engine.schedule_at(1.0, record);
   engine.run();
-  // Same-time events fire in insertion order; each entity counts its own
-  // creations from zero.
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].creator, 2u);
-  EXPECT_EQ(seen[0].cseq, 0u);
-  EXPECT_EQ(seen[1].creator, 9u);
-  EXPECT_EQ(seen[1].cseq, 0u);
-  EXPECT_EQ(seen[2].creator, 2u);
-  EXPECT_EQ(seen[2].cseq, 1u);
+  // Same-time events fire in insertion order, whoever created them.
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{2, 9, 2}));
 }
 
 TEST(Engine, ExecStampFollowsExecution) {
@@ -233,18 +226,17 @@ TEST(Engine, ExecStampFollowsExecution) {
   engine.set_current_entity(4);
   Engine::ExecStamp first{};
   Engine::ExecStamp second{};
+  std::uint64_t current = Engine::kNoEntity;
   engine.schedule_at(3.0, [&] {
     first = engine.exec_stamp();
-    // Rank is the scheduling time: this creation happens at t = 3.
+    current = engine.current_entity();
     engine.schedule_at(5.0, [&] { second = engine.exec_stamp(); });
   });
+  engine.set_current_entity(7);
   engine.run();
-  EXPECT_EQ(first.rank, 0.0);
   EXPECT_EQ(first.creator, 4u);
-  EXPECT_EQ(first.cseq, 0u);
-  EXPECT_EQ(second.rank, 3.0);
+  EXPECT_EQ(current, 4u) << "a timer runs as the entity that armed it";
   EXPECT_EQ(second.creator, 4u);
-  EXPECT_EQ(second.cseq, 1u);
 }
 
 TEST(Engine, TimersInheritTheSchedulersAttribution) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/obs/format.hpp"
+
 namespace faucets::sweep {
 namespace {
 
@@ -31,11 +33,11 @@ TEST(FormatDouble, RejectsNonFinite) {
 }
 
 TEST(EscapeJson, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(escape_json("plain"), "plain");
-  EXPECT_EQ(escape_json("a\"b"), "a\\\"b");
-  EXPECT_EQ(escape_json("a\\b"), "a\\\\b");
-  EXPECT_EQ(escape_json("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(escape_json(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::json_escape("plain"), "plain");
+  EXPECT_EQ(obs::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(JsonValue, ParsesNestedObjects) {
