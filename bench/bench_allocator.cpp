@@ -1,9 +1,12 @@
 // Experiment E9b (DESIGN.md): allocator and Gantt-chart microbenchmarks —
-// the inner loops of admission control. google-benchmark.
+// the inner loops of admission control — and the Cluster Manager's bid-time
+// query against a deep queue. google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "src/cluster/allocator.hpp"
 #include "src/cluster/gantt.hpp"
+#include "src/cluster/server.hpp"
+#include "src/sched/equipartition.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -69,6 +72,32 @@ void BM_GanttEarliestFit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GanttEarliestFit)->Arg(64)->Arg(256)->Arg(1024);
+
+// What one RFB answer asks of a Cluster Manager: the admission query and the
+// projected utilization the utilization bidders price from. Equipartition
+// on 128 procs with 8 running jobs and `depth` queued ones; the engine never
+// runs, so the state is the same on every iteration. Explains the
+// replay_swf end-to-end result, whose clusters average ~1,300 queued jobs.
+void BM_ClusterQuery(benchmark::State& state) {
+  const auto depth = static_cast<int>(state.range(0));
+  sim::SimContext ctx;
+  MachineSpec machine;
+  machine.name = "bench";
+  machine.total_procs = 128;
+  ClusterManager cm{ctx, machine, std::make_unique<sched::EquipartitionStrategy>()};
+  Rng rng{17};
+  for (int i = 0; i < depth + 8; ++i) {
+    (void)cm.submit(UserId{1}, qos::make_contract(16, 64, rng.uniform(1e3, 1e5), 0.8, 1.0));
+  }
+  const auto candidate = qos::make_contract(16, 64, 2e4, 0.8, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cm.query(candidate));
+    benchmark::DoNotOptimize(cm.projected_utilization(0.0, 3600.0));
+  }
+  state.counters["queued"] = static_cast<double>(cm.queued_count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClusterQuery)->Arg(64)->Arg(1024)->ArgName("depth");
 
 }  // namespace
 

@@ -67,7 +67,17 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 
 echo "==> sweep regression gate + serial-vs-parallel throughput"
 python3 - <<'PY'
-import json, os, subprocess, sys, time
+import json, os, platform, subprocess, sys, time
+
+def machine():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return f"{line.split(':', 1)[1].strip()} ({platform.machine()})"
+    except OSError:
+        pass
+    return platform.machine() or "unknown"
 
 sweep = "./build-release-bench/examples/faucets_sweep"
 art = "build-release-bench/sweep-artifacts"
@@ -98,6 +108,7 @@ out = {
     "workload": "2 schedulers x 2 loads x 4 seed replicates through the "
                 "full grid market; byte-identical JSONL asserted between "
                 "thread counts; gated against ci/sweep_baseline.json",
+    "machine": machine(),
     "hardware_concurrency": hw,
     "serial_runs_per_sec": round(runs / t_serial, 2),
     "parallel_threads": par_threads,
@@ -611,7 +622,18 @@ BENCH_JSON="build-release-bench/bench_engine_raw.json"
 
 # Distill the headline figure: best items_per_second across repetitions.
 python3 - "${BENCH_JSON}" <<'PY'
-import json, sys
+import json, os, platform, sys
+
+def machine():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return f"{line.split(':', 1)[1].strip()} ({platform.machine()})"
+    except OSError:
+        pass
+    return platform.machine() or "unknown"
+
 raw = json.load(open(sys.argv[1]))
 rates = [b["items_per_second"] for b in raw["benchmarks"]
          if b.get("run_type") == "aggregate" and b["aggregate_name"] == "max"
@@ -623,6 +645,8 @@ out = {
     "benchmark": "BM_EngineScheduleCancelRun/1000000",
     "workload": "1M events: schedule at pseudo-random times (i % 1009), cancel every 3rd via EventHandle, run to drain",
     "events_per_sec": round(max(rates)),
+    "machine": machine(),
+    "hardware_concurrency": os.cpu_count() or 1,
     "build": "release-bench (-O3 -DNDEBUG)",
     "source": "ci/run.sh",
     # One-time reference measurement against the pre-refactor engine

@@ -13,6 +13,16 @@ constexpr double kInf = 1e300;
 /// Relative tolerance for "the job is done".
 constexpr double kDoneTolerance = 1e-6;
 
+/// The view hands strategies const pointers; the CM owns every job in it.
+job::Job& owned(const job::Job* j) { return const_cast<job::Job&>(*j); }
+
+/// Position of `id` in a list of jobs sorted by id.
+std::vector<const job::Job*>::iterator position_of(std::vector<const job::Job*>& jobs,
+                                                   JobId id) {
+  return std::lower_bound(jobs.begin(), jobs.end(), id,
+                          [](const job::Job* j, JobId v) { return j->id() < v; });
+}
+
 std::string labelled(const std::string& base, const std::string& cluster) {
   return base + "{cluster=\"" + cluster + "\"}";
 }
@@ -29,6 +39,8 @@ ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
       id_(id),
       metrics_(machine_.total_procs) {
   if (!strategy_) throw std::invalid_argument("ClusterManager needs a strategy");
+  view_.sim = ctx_;
+  view_.machine = &machine_;
   auto& reg = ctx_->metrics();
   completed_ctr_ = &reg.counter(labelled("faucets_cm_jobs_completed_total", machine_.name),
                                 "Jobs finished on this Compute Server");
@@ -58,7 +70,7 @@ ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
       },
       "fraction");
   sampler.add_series(labelled("faucets_cluster_queue_depth", machine_.name),
-                     [this] { return static_cast<double>(queued_.size()); },
+                     [this] { return static_cast<double>(view_.queued.size()); },
                      "jobs");
   sampler.add_series(
       labelled("faucets_cluster_reservations", machine_.name),
@@ -97,16 +109,29 @@ void ClusterManager::close_job_spans(JobId id, obs::SpanKind kind, double now) {
   job_spans_.erase(it);
 }
 
-sched::SchedulerContext ClusterManager::context() const {
-  sched::SchedulerContext ctx;
-  ctx.now = engine_->now();
-  ctx.sim = ctx_;
-  ctx.machine = &machine_;
-  ctx.running.reserve(running_.size());
-  for (JobId id : running_) ctx.running.push_back(jobs_.at(id).get());
-  ctx.queued.reserve(queued_.size());
-  for (JobId id : queued_) ctx.queued.push_back(jobs_.at(id).get());
-  return ctx;
+void ClusterManager::enqueue(const job::Job& j) {
+  const auto at = position_of(view_.queued, j.id());
+  const auto index = at - view_.queued.begin();
+  view_.queued.insert(at, &j);
+  const int lo = j.contract().min_procs;
+  queued_load_.insert(queued_load_.begin() + index,
+                      QueuedLoad{lo, j.time_to_finish_on(lo)});
+}
+
+void ClusterManager::dequeue(const job::Job& j) {
+  const auto at = position_of(view_.queued, j.id());
+  if (at == view_.queued.end() || *at != &j) return;
+  queued_load_.erase(queued_load_.begin() + (at - view_.queued.begin()));
+  view_.queued.erase(at);
+}
+
+void ClusterManager::add_running(const job::Job& j) {
+  view_.running.insert(position_of(view_.running, j.id()), &j);
+}
+
+void ClusterManager::remove_running(const job::Job& j) {
+  const auto at = position_of(view_.running, j.id());
+  if (at != view_.running.end() && *at == &j) view_.running.erase(at);
 }
 
 sched::AdmissionDecision ClusterManager::query(const qos::QosContract& contract) const {
@@ -139,8 +164,8 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
   job_spans_.emplace(id, js);
   auto j = std::make_unique<job::Job>(id, owner, contract, now);
   j->mark_queued();
+  enqueue(*j);
   jobs_.emplace(id, std::move(j));
-  queued_.push_back(id);
   reschedule();
   return id;
 }
@@ -202,7 +227,7 @@ void ClusterManager::expire_reservation(ReservationId id) {
 
 void ClusterManager::advance_all() {
   const double now = engine_->now();
-  for (JobId id : running_) jobs_.at(id)->advance_to(now);
+  for (const job::Job* j : view_.running) owned(j).advance_to(now);
 }
 
 void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& allocations) {
@@ -211,10 +236,7 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
 
   // Apply shrinks and vacates first so capacity is never exceeded, then
   // expansions and starts.
-  auto apply_one = [&](const sched::Allocation& a) {
-    auto it = jobs_.find(a.job);
-    if (it == jobs_.end()) return;
-    job::Job& j = *it->second;
+  auto apply_one = [&](const sched::Allocation& a, job::Job& j) {
     const int target =
         a.procs == 0
             ? 0
@@ -235,15 +257,12 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
       js.run = spans.start_span(obs::SpanKind::kRun, now, EntityId{id_.value()},
                                 js.queue);
       spans.set_value(js.run, target);
-      std::erase(queued_, a.job);
-      running_.push_back(a.job);
-      // Keep running_ in submit order for deterministic contexts.
-      std::sort(running_.begin(), running_.end());
+      dequeue(j);
+      add_running(j);
     } else if (was_running && target == 0) {
       j.reallocate(now, 0);
-      std::erase(running_, a.job);
-      queued_.push_back(a.job);
-      std::sort(queued_.begin(), queued_.end());
+      remove_running(j);
+      enqueue(j);
       emit(obs::TraceEventKind::kJobVacated, a.job, j.owner(), 0);
       spans.end_span(js.run, now);
       js.queue = spans.start_span(obs::SpanKind::kQueue, now, EntityId{id_.value()},
@@ -259,15 +278,22 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
     }
   };
 
+  // One lookup per allocation; applying never removes a job from jobs_.
+  std::vector<job::Job*> targets;
+  targets.reserve(allocations.size());
   for (const auto& a : allocations) {
     const auto it = jobs_.find(a.job);
-    if (it == jobs_.end()) continue;
-    if (a.procs < it->second->procs()) apply_one(a);
+    targets.push_back(it == jobs_.end() ? nullptr : it->second.get());
   }
-  for (const auto& a : allocations) {
-    const auto it = jobs_.find(a.job);
-    if (it == jobs_.end()) continue;
-    if (a.procs > it->second->procs()) apply_one(a);
+  for (std::size_t i = 0; i < allocations.size(); ++i) {
+    if (targets[i] != nullptr && allocations[i].procs < targets[i]->procs()) {
+      apply_one(allocations[i], *targets[i]);
+    }
+  }
+  for (std::size_t i = 0; i < allocations.size(); ++i) {
+    if (targets[i] != nullptr && allocations[i].procs > targets[i]->procs()) {
+      apply_one(allocations[i], *targets[i]);
+    }
   }
 
   const int busy = busy_procs();
@@ -292,11 +318,11 @@ void ClusterManager::reschedule() {
 void ClusterManager::arm_completion_timer() {
   completion_timer_.cancel();
   double next = kInf;
-  for (JobId id : running_) {
+  for (const job::Job* j : view_.running) {
     // Phase boundaries also wake the scheduler: the paper notes the
     // scheduler benefits from knowing when a job's performance parameters
     // shift between phases (§2.1).
-    next = std::min(next, jobs_.at(id)->next_event_time(engine_->now()));
+    next = std::min(next, j->next_event_time(engine_->now()));
   }
   if (next >= kInf) return;
   completion_timer_ = engine_->schedule_at(next, [this] { handle_completions(); });
@@ -305,17 +331,17 @@ void ClusterManager::arm_completion_timer() {
 void ClusterManager::handle_completions() {
   advance_all();
   const double now = engine_->now();
-  std::vector<JobId> done;
-  for (JobId id : running_) {
-    job::Job& j = *jobs_.at(id);
-    if (j.remaining_work() <= kDoneTolerance * std::max(1.0, j.total_work())) {
-      done.push_back(id);
+  std::vector<const job::Job*> done;
+  for (const job::Job* j : view_.running) {
+    if (j->remaining_work() <= kDoneTolerance * std::max(1.0, j->total_work())) {
+      done.push_back(j);
     }
   }
-  for (JobId id : done) {
-    job::Job& j = *jobs_.at(id);
+  for (const job::Job* finished : done) {
+    job::Job& j = owned(finished);
+    const JobId id = j.id();
     j.complete(now);
-    std::erase(running_, id);
+    remove_running(j);
     metrics_.on_completed(j);
     completed_ctr_->inc();
     wait_hist_->observe(j.wait_time());
@@ -348,8 +374,8 @@ std::optional<ClusterManager::Evicted> ClusterManager::evict_job(JobId id) {
   out.completed_work = j.total_work() - j.remaining_work();
   emit(obs::TraceEventKind::kJobEvicted, id, j.owner(), j.procs());
   close_job_spans(id, obs::SpanKind::kEvicted, now);
-  std::erase(running_, id);
-  std::erase(queued_, id);
+  remove_running(j);
+  dequeue(j);
   jobs_.erase(it);
   observe_busy(now, busy_procs());
   reschedule();
@@ -357,10 +383,11 @@ std::optional<ClusterManager::Evicted> ClusterManager::evict_job(JobId id) {
 }
 
 std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
+  // By id, not by pointer: each eviction reschedules and may move the rest.
   std::vector<JobId> ids;
-  ids.reserve(running_.size() + queued_.size());
-  ids.insert(ids.end(), running_.begin(), running_.end());
-  ids.insert(ids.end(), queued_.begin(), queued_.end());
+  ids.reserve(view_.running.size() + view_.queued.size());
+  for (const job::Job* j : view_.running) ids.push_back(j->id());
+  for (const job::Job* j : view_.queued) ids.push_back(j->id());
   std::vector<Evicted> out;
   for (JobId id : ids) {
     if (auto e = evict_job(id)) out.push_back(std::move(*e));
@@ -372,19 +399,18 @@ std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
 void ClusterManager::halt() {
   completion_timer_.cancel();
   const double now = engine_->now();
-  std::vector<JobId> lost;
-  lost.reserve(running_.size() + queued_.size());
-  lost.insert(lost.end(), running_.begin(), running_.end());
-  lost.insert(lost.end(), queued_.begin(), queued_.end());
-  for (JobId id : lost) {
-    job::Job& j = *jobs_.at(id);
-    j.mark_failed(now);
-    metrics_.on_failed();
-    emit(obs::TraceEventKind::kJobFailed, id, j.owner(), 0);
-    close_job_spans(id, obs::SpanKind::kFailed, now);
+  for (const auto* list : {&view_.running, &view_.queued}) {
+    for (const job::Job* lost : *list) {
+      job::Job& j = owned(lost);
+      j.mark_failed(now);
+      metrics_.on_failed();
+      emit(obs::TraceEventKind::kJobFailed, j.id(), j.owner(), 0);
+      close_job_spans(j.id(), obs::SpanKind::kFailed, now);
+    }
   }
-  running_.clear();
-  queued_.clear();
+  view_.running.clear();
+  view_.queued.clear();
+  queued_load_.clear();
   release_all_reservations();
   observe_busy(now, 0);
   on_complete_ = nullptr;
@@ -392,25 +418,20 @@ void ClusterManager::halt() {
 }
 
 int ClusterManager::busy_procs() const noexcept {
-  int n = 0;
-  for (JobId id : running_) n += jobs_.at(id)->procs();
-  return n;
+  return view_.busy_procs();
 }
 
 double ClusterManager::projected_utilization(double from, double to) const {
   if (to <= from || machine_.total_procs <= 0) return 0.0;
   double proc_seconds = 0.0;
-  for (JobId id : running_) {
-    const job::Job& j = *jobs_.at(id);
-    const double finish = std::min(j.projected_finish(from), to);
-    if (finish > from) proc_seconds += j.procs() * (finish - from);
+  for (const job::Job* j : view_.running) {
+    const double finish = std::min(j->projected_finish(from), to);
+    if (finish > from) proc_seconds += j->procs() * (finish - from);
   }
   // Queued jobs will occupy at least min_procs for their minimal runtime.
-  for (JobId id : queued_) {
-    const job::Job& j = *jobs_.at(id);
-    const double runtime = j.time_to_finish_on(j.contract().min_procs);
-    const double span = std::min(runtime, to - from);
-    if (span > 0.0 && runtime < kInf) proc_seconds += j.contract().min_procs * span;
+  for (const QueuedLoad& q : queued_load_) {
+    const double span = std::min(q.runtime, to - from);
+    if (span > 0.0 && q.runtime < kInf) proc_seconds += q.min_procs * span;
   }
   // Reserved-but-uncommitted capacity counts too, so concurrent bidders see
   // the held lease priced into the utilization signal.
@@ -427,20 +448,6 @@ double ClusterManager::projected_utilization(double from, double to) const {
 const job::Job* ClusterManager::find_job(JobId id) const {
   auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const job::Job*> ClusterManager::running_jobs() const {
-  std::vector<const job::Job*> out;
-  out.reserve(running_.size());
-  for (JobId id : running_) out.push_back(jobs_.at(id).get());
-  return out;
-}
-
-std::vector<const job::Job*> ClusterManager::queued_jobs() const {
-  std::vector<const job::Job*> out;
-  out.reserve(queued_.size());
-  for (JobId id : queued_) out.push_back(jobs_.at(id).get());
-  return out;
 }
 
 }  // namespace faucets::cluster

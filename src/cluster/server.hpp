@@ -128,8 +128,8 @@ class ClusterManager {
   [[nodiscard]] const MachineSpec& machine() const noexcept { return machine_; }
   [[nodiscard]] ClusterId id() const noexcept { return id_; }
   [[nodiscard]] int busy_procs() const noexcept;
-  [[nodiscard]] std::size_t running_count() const noexcept { return running_.size(); }
-  [[nodiscard]] std::size_t queued_count() const noexcept { return queued_.size(); }
+  [[nodiscard]] std::size_t running_count() const noexcept { return view_.running.size(); }
+  [[nodiscard]] std::size_t queued_count() const noexcept { return view_.queued.size(); }
 
   /// Fraction of capacity committed on average between `from` and `to`,
   /// projected from the current jobs — the signal the paper's
@@ -137,8 +137,20 @@ class ClusterManager {
   [[nodiscard]] double projected_utilization(double from, double to) const;
 
   [[nodiscard]] const job::Job* find_job(JobId id) const;
-  [[nodiscard]] std::vector<const job::Job*> running_jobs() const;
-  [[nodiscard]] std::vector<const job::Job*> queued_jobs() const;
+  /// Live jobs sorted by id; valid until the next mutation of this CM.
+  [[nodiscard]] const std::vector<const job::Job*>& running_jobs() const noexcept {
+    return view_.running;
+  }
+  [[nodiscard]] const std::vector<const job::Job*>& queued_jobs() const noexcept {
+    return view_.queued;
+  }
+
+  /// The scheduler's view of this cluster, stamped with the current time.
+  /// It is the CM's own state, not a copy: valid until the next mutation.
+  [[nodiscard]] const sched::SchedulerContext& context() const noexcept {
+    view_.now = engine_->now();
+    return view_;
+  }
 
   [[nodiscard]] sched::MetricsCollector& metrics() noexcept { return metrics_; }
   [[nodiscard]] const sched::MetricsCollector& metrics() const noexcept { return metrics_; }
@@ -155,6 +167,15 @@ class ClusterManager {
     SpanId run;
   };
 
+  /// What a queued job adds to projected_utilization: it will hold
+  /// `min_procs` for `runtime` = time_to_finish_on(min_procs). A queued job
+  /// holds no processors and does no work, so the value is exact until the
+  /// job leaves the queue.
+  struct QueuedLoad {
+    int min_procs = 0;
+    double runtime = 0.0;
+  };
+
   /// One outstanding capacity lease of the two-phase award.
   struct Reservation {
     qos::QosContract contract;
@@ -168,8 +189,14 @@ class ClusterManager {
   void apply_allocations(const std::vector<sched::Allocation>& allocations);
   void arm_completion_timer();
   void handle_completions();
-  [[nodiscard]] sched::SchedulerContext context() const;
   void advance_all();
+
+  // The only edits of the view: each keeps its list sorted by id with one
+  // binary search, and leaving a list a job is not on is a no-op.
+  void enqueue(const job::Job& j);
+  void dequeue(const job::Job& j);
+  void add_running(const job::Job& j);
+  void remove_running(const job::Job& j);
 
   void emit(obs::TraceEventKind kind, JobId job, UserId user, int procs);
   void observe_busy(double now, int busy);
@@ -186,8 +213,11 @@ class ClusterManager {
 
   IdGenerator<JobId> job_ids_;
   std::unordered_map<JobId, std::unique_ptr<job::Job>> jobs_;
-  std::vector<JobId> running_;  // submit order
-  std::vector<JobId> queued_;   // submit order
+  /// The live jobs as strategies see them: `running` and `queued` sorted
+  /// by id (= submit order). `now` is stamped by context().
+  mutable sched::SchedulerContext view_;
+  /// Parallel to view_.queued, entry for entry.
+  std::vector<QueuedLoad> queued_load_;
   std::unordered_map<JobId, JobSpans> job_spans_;
   sched::MetricsCollector metrics_;
   sim::EventHandle completion_timer_;

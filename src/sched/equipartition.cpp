@@ -51,24 +51,31 @@ AdmissionDecision EquipartitionStrategy::admit(const SchedulerContext& ctx,
   const double speed = ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0;
 
   // Estimate by running the actual water-filling with the candidate
-  // appended after every live job.
-  std::vector<std::pair<int, int>> bounds;
-  bounds.reserve(ctx.running.size() + ctx.queued.size() + 1);
-  for (const auto* j : ctx.running) {
-    bounds.emplace_back(j->contract().min_procs,
-                        std::min(j->contract().max_procs, ctx.total_procs()));
+  // appended after every live job. Pass 1 alone settles the common deep-
+  // queue case: a candidate whose minimum does not fit what the live jobs'
+  // minimums leave is never selected, so its share is 0.
+  int cap = ctx.total_procs();
+  for (const auto* list : {&ctx.running, &ctx.queued}) {
+    for (const auto* j : *list) {
+      if (j->contract().min_procs <= cap) cap -= j->contract().min_procs;
+    }
   }
-  for (const auto* j : ctx.queued) {
-    bounds.emplace_back(j->contract().min_procs,
-                        std::min(j->contract().max_procs, ctx.total_procs()));
-  }
-  bounds.emplace_back(contract.min_procs,
-                      std::min(contract.max_procs, ctx.total_procs()));
-  const auto alloc = equipartition(bounds, ctx.total_procs());
-  const int share = alloc.back();
-  if (share > 0) {
-    return AdmissionDecision::accepted(ctx.now +
-                                       contract.estimated_runtime(share, speed));
+  if (contract.min_procs <= cap) {
+    std::vector<std::pair<int, int>> bounds;
+    bounds.reserve(ctx.running.size() + ctx.queued.size() + 1);
+    for (const auto* list : {&ctx.running, &ctx.queued}) {
+      for (const auto* j : *list) {
+        bounds.emplace_back(j->contract().min_procs,
+                            std::min(j->contract().max_procs, ctx.total_procs()));
+      }
+    }
+    bounds.emplace_back(contract.min_procs,
+                        std::min(contract.max_procs, ctx.total_procs()));
+    const int share = equipartition(bounds, ctx.total_procs()).back();
+    if (share > 0) {
+      return AdmissionDecision::accepted(ctx.now +
+                                         contract.estimated_runtime(share, speed));
+    }
   }
   // No share right now: the candidate waits roughly while the current
   // backlog drains at full machine rate, then runs.
@@ -84,13 +91,12 @@ AdmissionDecision EquipartitionStrategy::admit(const SchedulerContext& ctx,
 
 std::vector<Allocation> EquipartitionStrategy::schedule(const SchedulerContext& ctx) {
   // Priority order: submission order, running and queued interleaved by id
-  // (ids are monotone in submission time on one cluster).
-  std::vector<const job::Job*> jobs;
-  jobs.reserve(ctx.running.size() + ctx.queued.size());
-  jobs.insert(jobs.end(), ctx.running.begin(), ctx.running.end());
-  jobs.insert(jobs.end(), ctx.queued.begin(), ctx.queued.end());
-  std::sort(jobs.begin(), jobs.end(),
-            [](const job::Job* a, const job::Job* b) { return a->id() < b->id(); });
+  // (ids are monotone in submission time on one cluster; both lists are
+  // already sorted by id).
+  std::vector<const job::Job*> jobs(ctx.running.size() + ctx.queued.size());
+  std::merge(ctx.running.begin(), ctx.running.end(), ctx.queued.begin(),
+             ctx.queued.end(), jobs.begin(),
+             [](const job::Job* a, const job::Job* b) { return a->id() < b->id(); });
 
   std::vector<std::pair<int, int>> bounds;
   bounds.reserve(jobs.size());

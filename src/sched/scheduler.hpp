@@ -30,7 +30,11 @@ struct Allocation {
 
 /// Read-only view of the cluster state handed to strategies. Jobs are
 /// non-owning pointers; `running` jobs hold processors, `queued` jobs wait.
-/// Both lists are ordered by submission time.
+/// Both lists are sorted by job id, which is submission order on one
+/// cluster. The Cluster Manager owns the view and edits it in place as jobs
+/// arrive, start, vacate and leave, so it is valid only until the CM's next
+/// mutation: a strategy reads it during admit() or schedule() and must not
+/// keep it, or any pointer from it, past the call.
 struct SchedulerContext {
   double now = 0.0;
   /// The run's simulation context (trace sink, RNG, network counters).

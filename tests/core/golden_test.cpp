@@ -1,7 +1,8 @@
-// Determinism goldens for the single-engine run loop. Four scenarios — the
+// Determinism goldens for the single-engine run loop. Five scenarios — the
 // E13 1000-cluster grid (scaled down), a brokered grid under message loss, a
-// partition and a mid-run crash, a user-multiplied SWF replay, and a
-// brokered market with deep payoff queues — must
+// partition and a mid-run crash, a user-multiplied SWF replay, a brokered
+// market with deep payoff queues, and the SWF replay grid with deep fcfs,
+// backfill and equipartition queues — must
 //
 //  1. reach the accounting invariant: every submission terminal, no pending
 //     outcome, no live reservation lease, no open lifecycle span;
@@ -329,6 +330,40 @@ TEST(GoldenRun, DeepQueuePayoffMarket) {
                  .trace = 0xa9d06a1a5a22231bULL,
                  .prometheus = 0xde96583253e6c886ULL,
                  .chrome = 0x543f98d9e257eac6ULL});
+}
+
+// --- deep queues behind the SWF replay grid --------------------------------
+
+/// The e2ebench `replay_swf` grid (first instance of seed 2004) cut to its
+/// first 1,536 jobs: the committed fixture cloned 64x per user at twice its
+/// speed over fcfs/market, backfill/utilization and equipartition/baseline
+/// clusters, with barter billing and the earliest-completion evaluator. The
+/// clones arrive in bursts, so every cluster holds hundreds of queued jobs
+/// while the backfill, market-aware and utilization bidders answer RFBs.
+std::string deep_queue_swf_ini() {
+  std::ostringstream ini;
+  ini << "[grid]\nbilling = barter\nusers = 8\nevaluator = earliest-completion\n"
+         "seed = 6012\n\n"
+         "[cluster]\nname = babbage\nprocs = 128\ncost = 0.0006\n"
+         "strategy = fcfs\nbidgen = market\ncredits = 1e6\n\n"
+         "[cluster]\nname = noether\nprocs = 128\ncost = 0.0008\n"
+         "strategy = backfill\nbidgen = utilization\ncredits = 1e6\n\n"
+         "[cluster]\nname = hamilton\nprocs = 256\ncost = 0.0005\n"
+         "strategy = equipartition\nbidgen = baseline\ncredits = 1e6\n\n"
+         "[trace]\nfile = " FAUCETS_SOURCE_DIR "/ci/replay_fixture.swf\n"
+         "user_multiplier = 64\ntime_compression = 2\njitter = 40\n"
+         "malleability = 0.5\ndeadline_fraction = 0.5\nmax_jobs = 1536\n";
+  return ini.str();
+}
+
+TEST(GoldenRun, DeepQueueSwfReplay) {
+  const std::string ini = deep_queue_swf_ini();
+  const double pace = obs::live::LiveConfig{}.publish_interval;
+  expect_golden([&](Observer o) { return run_scenario(ini, o, pace); }, 1536,
+                {.report = 0xfa8b1c322265166bULL,
+                 .trace = 0x39d53c26967c7723ULL,
+                 .prometheus = 0x4a0ff738e5c91f18ULL,
+                 .chrome = 0xf26617a1d594f260ULL});
 }
 
 }  // namespace
