@@ -3,10 +3,16 @@
 // query against a deep queue. google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
 #include "src/cluster/allocator.hpp"
 #include "src/cluster/gantt.hpp"
 #include "src/cluster/server.hpp"
+#include "src/sched/backfill.hpp"
 #include "src/sched/equipartition.hpp"
+#include "src/sched/fcfs.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -74,19 +80,28 @@ void BM_GanttEarliestFit(benchmark::State& state) {
 BENCHMARK(BM_GanttEarliestFit)->Arg(64)->Arg(256)->Arg(1024);
 
 // What one RFB answer asks of a Cluster Manager: the admission query and the
-// projected utilization the utilization bidders price from. Equipartition
-// on 128 procs with 8 running jobs and `depth` queued ones; the engine never
-// runs, so the state is the same on every iteration. Explains the
-// replay_swf end-to-end result, whose clusters average ~1,300 queued jobs.
+// projected utilization the utilization bidders price from. 128 procs with
+// `depth` jobs queued behind the running ones, under equipartition (0),
+// FCFS (1) or EASY backfill (2); the engine never runs, so the state is the
+// same on every iteration. Explains the replay_swf end-to-end result, whose
+// clusters average ~1,300 queued jobs.
+std::unique_ptr<sched::Strategy> query_strategy(std::int64_t kind) {
+  switch (kind) {
+    case 1: return std::make_unique<sched::FcfsStrategy>();
+    case 2: return std::make_unique<sched::BackfillStrategy>();
+    default: return std::make_unique<sched::EquipartitionStrategy>();
+  }
+}
+
 void BM_ClusterQuery(benchmark::State& state) {
-  const auto depth = static_cast<int>(state.range(0));
+  const auto depth = static_cast<int>(state.range(1));
   sim::SimContext ctx;
   MachineSpec machine;
   machine.name = "bench";
   machine.total_procs = 128;
-  ClusterManager cm{ctx, machine, std::make_unique<sched::EquipartitionStrategy>()};
+  ClusterManager cm{ctx, machine, query_strategy(state.range(0))};
   Rng rng{17};
-  for (int i = 0; i < depth + 8; ++i) {
+  for (int i = 0; cm.queued_count() < static_cast<std::size_t>(depth); ++i) {
     (void)cm.submit(UserId{1}, qos::make_contract(16, 64, rng.uniform(1e3, 1e5), 0.8, 1.0));
   }
   const auto candidate = qos::make_contract(16, 64, 2e4, 0.8, 1.0);
@@ -94,10 +109,16 @@ void BM_ClusterQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(cm.query(candidate));
     benchmark::DoNotOptimize(cm.projected_utilization(0.0, 3600.0));
   }
+  state.SetLabel(std::string(cm.strategy().name()));
   state.counters["queued"] = static_cast<double>(cm.queued_count());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ClusterQuery)->Arg(64)->Arg(1024)->ArgName("depth");
+BENCHMARK(BM_ClusterQuery)
+    ->Args({0, 64})
+    ->Args({0, 1024})
+    ->Args({1, 1024})
+    ->Args({2, 1024})
+    ->ArgNames({"strategy", "depth"});
 
 }  // namespace
 

@@ -611,18 +611,13 @@ if [[ "${SKIP_BENCH}" == "1" ]]; then
   exit 0
 fi
 
-echo "==> bench_engine (1M-event schedule/cancel/run workload)"
-BENCH_JSON="build-release-bench/bench_engine_raw.json"
-./build-release-bench/bench/bench_engine \
-  --benchmark_filter='EngineScheduleCancelRun/1000000' \
-  --benchmark_repetitions=5 \
-  --benchmark_report_aggregates_only=true \
-  --benchmark_out="${BENCH_JSON}" \
-  --benchmark_out_format=json
-
-# Distill the headline figure: best items_per_second across repetitions.
-python3 - "${BENCH_JSON}" <<'PY'
-import json, os, platform, sys
+# Summarise a Google Benchmark JSON that kept every repetition: the median
+# items/s across repetitions as the headline, with the min, max and
+# coefficient of variation beside it and the machine it ran on.
+# Usage: record_gbench RAW_JSON OUT_JSON FIELDS_JSON (fixed fields to keep).
+record_gbench() {
+  python3 - "$@" <<'PY'
+import json, os, platform, statistics, sys
 
 def machine():
     try:
@@ -634,63 +629,65 @@ def machine():
         pass
     return platform.machine() or "unknown"
 
-raw = json.load(open(sys.argv[1]))
+raw_path, out_path, fields = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+raw = json.load(open(raw_path))
 rates = [b["items_per_second"] for b in raw["benchmarks"]
-         if b.get("run_type") == "aggregate" and b["aggregate_name"] == "max"
-         and "items_per_second" in b]
-if not rates:  # fall back to any reported rate
-    rates = [b["items_per_second"] for b in raw["benchmarks"]
-             if "items_per_second" in b]
-out = {
-    "benchmark": "BM_EngineScheduleCancelRun/1000000",
-    "workload": "1M events: schedule at pseudo-random times (i % 1009), cancel every 3rd via EventHandle, run to drain",
-    "events_per_sec": round(max(rates)),
+         if b.get("run_type") == "iteration" and "items_per_second" in b]
+if not rates:
+    sys.exit(f"{raw_path}: no repetition reports items_per_second")
+out = dict(fields)
+out.update({
+    "events_per_sec": round(statistics.median(rates)),
+    "events_per_sec_min": round(min(rates)),
+    "events_per_sec_max": round(max(rates)),
+    "cv": round(statistics.pstdev(rates) / statistics.fmean(rates), 4),
+    "repetitions": len(rates),
     "machine": machine(),
     "hardware_concurrency": os.cpu_count() or 1,
-    "build": "release-bench (-O3 -DNDEBUG)",
-    "source": "ci/run.sh",
-    # One-time reference measurement against the pre-refactor engine
-    # (std::priority_queue + std::function + shared-state tombstones):
-    # identical standalone harness, 5 reps best-of, back-to-back on one
-    # machine to cancel load noise.
-    "seed_comparison": {
-        "seed_engine_events_per_sec": 973547,
-        "pooled_engine_events_per_sec": 2426021,
-        "speedup": 2.49,
-    },
-}
-json.dump(out, open("BENCH_engine.json", "w"), indent=2)
-print("BENCH_engine.json: %.0f events/sec" % out["events_per_sec"])
+})
+json.dump(out, open(out_path, "w"), indent=2)
+print("%s: median %.0f events/sec (min %.0f, max %.0f, cv %.1f%%, %d repetitions)"
+      % (out_path, out["events_per_sec"], out["events_per_sec_min"],
+         out["events_per_sec_max"], 100 * out["cv"], len(rates)))
 PY
+}
+
+echo "==> bench_engine (1M-event schedule/cancel/run workload)"
+BENCH_JSON="build-release-bench/bench_engine_raw.json"
+./build-release-bench/bench/bench_engine \
+  --benchmark_filter='EngineScheduleCancelRun/1000000' \
+  --benchmark_repetitions=5 \
+  --benchmark_out="${BENCH_JSON}" \
+  --benchmark_out_format=json
+# seed_comparison is a one-time reference measurement against the
+# pre-refactor engine (std::priority_queue + std::function + shared-state
+# tombstones): identical standalone harness, 5 reps best-of, back-to-back on
+# one machine to cancel load noise.
+record_gbench "${BENCH_JSON}" BENCH_engine.json '{
+  "benchmark": "BM_EngineScheduleCancelRun/1000000",
+  "workload": "1M events: schedule at pseudo-random times (i % 1009), cancel every 3rd via EventHandle, run to drain",
+  "build": "release-bench (-O3 -DNDEBUG)",
+  "source": "ci/run.sh",
+  "seed_comparison": {
+    "seed_engine_events_per_sec": 973547,
+    "pooled_engine_events_per_sec": 2426021,
+    "speedup": 2.49
+  }
+}'
 
 echo "==> bench_trace (typed trace record hot path)"
 TRACE_JSON="build-release-bench/bench_trace_raw.json"
 ./build-release-bench/bench/bench_trace \
   --benchmark_filter='TraceRecord/65536' \
   --benchmark_repetitions=5 \
-  --benchmark_report_aggregates_only=true \
   --benchmark_out="${TRACE_JSON}" \
   --benchmark_out_format=json
-
-python3 - "${TRACE_JSON}" <<'PY'
-import json, sys
-raw = json.load(open(sys.argv[1]))
-rates = [b["items_per_second"] for b in raw["benchmarks"]
-         if b.get("run_type") == "aggregate" and b["aggregate_name"] == "max"
-         and "items_per_second" in b]
-if not rates:  # fall back to any reported rate
-    rates = [b["items_per_second"] for b in raw["benchmarks"]
-             if "items_per_second" in b]
-out = {
-    "benchmark": "BM_TraceRecord/65536",
-    "workload": "record typed 64-byte job events into a warm 65536-slot ring, wrapping continuously (zero allocations; see tests/obs/trace_alloc_test.cpp)",
-    "events_per_sec": round(max(rates)),
-    "build": "release-bench (-O3 -DNDEBUG)",
-    "source": "ci/run.sh",
-}
-json.dump(out, open("BENCH_trace.json", "w"), indent=2)
-print("BENCH_trace.json: %.0f events/sec" % out["events_per_sec"])
-PY
+record_gbench "${TRACE_JSON}" BENCH_trace.json '{
+  "benchmark": "BM_TraceRecord/65536",
+  "workload": "record typed 64-byte job events into a warm 65536-slot ring, wrapping continuously (zero allocations; see tests/obs/trace_alloc_test.cpp)",
+  "build": "release-bench (-O3 -DNDEBUG)",
+  "source": "ci/run.sh"
+}'
 
 echo "==> bench_replay (E15: streaming vs preloaded SWF replay memory/throughput)"
 # The binary itself asserts (exit 2) that streamed and preloaded replays

@@ -16,11 +16,14 @@ constexpr double kDoneTolerance = 1e-6;
 /// The view hands strategies const pointers; the CM owns every job in it.
 job::Job& owned(const job::Job* j) { return const_cast<job::Job&>(*j); }
 
-/// Position of `id` in a list of jobs sorted by id.
-std::vector<const job::Job*>::iterator position_of(std::vector<const job::Job*>& jobs,
-                                                   JobId id) {
-  return std::lower_bound(jobs.begin(), jobs.end(), id,
-                          [](const job::Job* j, JobId v) { return j->id() < v; });
+JobId id_of(const job::Job* j) { return j->id(); }
+JobId id_of(const sched::QueuedJob& q) { return q.job->id(); }
+
+/// Position of `id` in a list of jobs or queued records sorted by id.
+template <typename List>
+auto position_of(List& list, JobId id) {
+  return std::lower_bound(list.begin(), list.end(), id,
+                          [](const auto& e, JobId v) { return id_of(e) < v; });
 }
 
 std::string labelled(const std::string& base, const std::string& cluster) {
@@ -110,19 +113,12 @@ void ClusterManager::close_job_spans(JobId id, obs::SpanKind kind, double now) {
 }
 
 void ClusterManager::enqueue(const job::Job& j) {
-  const auto at = position_of(view_.queued, j.id());
-  const auto index = at - view_.queued.begin();
-  view_.queued.insert(at, &j);
-  const int lo = j.contract().min_procs;
-  queued_load_.insert(queued_load_.begin() + index,
-                      QueuedLoad{lo, j.time_to_finish_on(lo)});
+  view_.queued.insert(position_of(view_.queued, j.id()), sched::QueuedJob::of(j));
 }
 
 void ClusterManager::dequeue(const job::Job& j) {
   const auto at = position_of(view_.queued, j.id());
-  if (at == view_.queued.end() || *at != &j) return;
-  queued_load_.erase(queued_load_.begin() + (at - view_.queued.begin()));
-  view_.queued.erase(at);
+  if (at != view_.queued.end() && at->job == &j) view_.queued.erase(at);
 }
 
 void ClusterManager::add_running(const job::Job& j) {
@@ -135,9 +131,11 @@ void ClusterManager::remove_running(const job::Job& j) {
 }
 
 sched::AdmissionDecision ClusterManager::query(const qos::QosContract& contract) const {
-  if (!contract.valid()) return sched::AdmissionDecision::rejected("invalid contract");
+  if (!contract.valid()) {
+    return sched::AdmissionDecision::rejected(sched::RejectReason::kInvalidContract);
+  }
   if (!machine_.can_ever_run(contract)) {
-    return sched::AdmissionDecision::rejected("machine cannot run this contract");
+    return sched::AdmissionDecision::rejected(sched::RejectReason::kMachineCannotRun);
   }
   return strategy_->admit(context(), contract);
 }
@@ -150,7 +148,8 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
     metrics_.on_rejected();
     rejected_ctr_->inc();
     emit(obs::TraceEventKind::kJobRejected, JobId{}, owner, contract.min_procs);
-    FAUCETS_DEBUG("cm") << machine_.name << " rejected job: " << decision.reason;
+    FAUCETS_DEBUG("cm") << machine_.name << " rejected job: "
+                        << sched::name(decision.reason);
     return std::nullopt;
   }
   const JobId id = job_ids_.next();
@@ -387,7 +386,7 @@ std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
   std::vector<JobId> ids;
   ids.reserve(view_.running.size() + view_.queued.size());
   for (const job::Job* j : view_.running) ids.push_back(j->id());
-  for (const job::Job* j : view_.queued) ids.push_back(j->id());
+  for (const sched::QueuedJob& q : view_.queued) ids.push_back(q.job->id());
   std::vector<Evicted> out;
   for (JobId id : ids) {
     if (auto e = evict_job(id)) out.push_back(std::move(*e));
@@ -399,18 +398,17 @@ std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
 void ClusterManager::halt() {
   completion_timer_.cancel();
   const double now = engine_->now();
-  for (const auto* list : {&view_.running, &view_.queued}) {
-    for (const job::Job* lost : *list) {
-      job::Job& j = owned(lost);
-      j.mark_failed(now);
-      metrics_.on_failed();
-      emit(obs::TraceEventKind::kJobFailed, j.id(), j.owner(), 0);
-      close_job_spans(j.id(), obs::SpanKind::kFailed, now);
-    }
-  }
+  auto fail = [&](const job::Job* lost) {
+    job::Job& j = owned(lost);
+    j.mark_failed(now);
+    metrics_.on_failed();
+    emit(obs::TraceEventKind::kJobFailed, j.id(), j.owner(), 0);
+    close_job_spans(j.id(), obs::SpanKind::kFailed, now);
+  };
+  for (const job::Job* j : view_.running) fail(j);
+  for (const sched::QueuedJob& q : view_.queued) fail(q.job);
   view_.running.clear();
   view_.queued.clear();
-  queued_load_.clear();
   release_all_reservations();
   observe_busy(now, 0);
   on_complete_ = nullptr;
@@ -429,9 +427,9 @@ double ClusterManager::projected_utilization(double from, double to) const {
     if (finish > from) proc_seconds += j->procs() * (finish - from);
   }
   // Queued jobs will occupy at least min_procs for their minimal runtime.
-  for (const QueuedLoad& q : queued_load_) {
-    const double span = std::min(q.runtime, to - from);
-    if (span > 0.0 && q.runtime < kInf) proc_seconds += q.min_procs * span;
+  for (const sched::QueuedJob& q : view_.queued) {
+    const double span = std::min(q.min_runtime, to - from);
+    if (span > 0.0 && q.min_runtime < kInf) proc_seconds += q.min_procs * span;
   }
   // Reserved-but-uncommitted capacity counts too, so concurrent bidders see
   // the held lease priced into the utilization signal.

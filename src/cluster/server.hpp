@@ -137,12 +137,9 @@ class ClusterManager {
   [[nodiscard]] double projected_utilization(double from, double to) const;
 
   [[nodiscard]] const job::Job* find_job(JobId id) const;
-  /// Live jobs sorted by id; valid until the next mutation of this CM.
+  /// Running jobs sorted by id; valid until the next mutation of this CM.
   [[nodiscard]] const std::vector<const job::Job*>& running_jobs() const noexcept {
     return view_.running;
-  }
-  [[nodiscard]] const std::vector<const job::Job*>& queued_jobs() const noexcept {
-    return view_.queued;
   }
 
   /// The scheduler's view of this cluster, stamped with the current time.
@@ -167,15 +164,6 @@ class ClusterManager {
     SpanId run;
   };
 
-  /// What a queued job adds to projected_utilization: it will hold
-  /// `min_procs` for `runtime` = time_to_finish_on(min_procs). A queued job
-  /// holds no processors and does no work, so the value is exact until the
-  /// job leaves the queue.
-  struct QueuedLoad {
-    int min_procs = 0;
-    double runtime = 0.0;
-  };
-
   /// One outstanding capacity lease of the two-phase award.
   struct Reservation {
     qos::QosContract contract;
@@ -192,7 +180,8 @@ class ClusterManager {
   void advance_all();
 
   // The only edits of the view: each keeps its list sorted by id with one
-  // binary search, and leaving a list a job is not on is a no-op.
+  // binary search, and leaving a list a job is not on is a no-op. enqueue()
+  // writes the job's QueuedJob record from its state at that moment.
   void enqueue(const job::Job& j);
   void dequeue(const job::Job& j);
   void add_running(const job::Job& j);
@@ -216,8 +205,6 @@ class ClusterManager {
   /// The live jobs as strategies see them: `running` and `queued` sorted
   /// by id (= submit order). `now` is stamped by context().
   mutable sched::SchedulerContext view_;
-  /// Parallel to view_.queued, entry for entry.
-  std::vector<QueuedLoad> queued_load_;
   std::unordered_map<JobId, JobSpans> job_spans_;
   sched::MetricsCollector metrics_;
   sim::EventHandle completion_timer_;

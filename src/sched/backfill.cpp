@@ -28,14 +28,14 @@ BackfillStrategy::Shadow BackfillStrategy::shadow_for(const SchedulerContext& ct
 AdmissionDecision BackfillStrategy::admit(const SchedulerContext& ctx,
                                           const qos::QosContract& contract) {
   if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
+    return AdmissionDecision::rejected(RejectReason::kLargerThanMachine);
   }
   const int size = request_size(ctx, contract);
   const double speed = ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0;
   // Estimate: it starts no earlier than its own shadow time behind the
   // current queue's aggregate demand.
   double backlog = 0.0;
-  for (const auto* j : ctx.queued) backlog += j->remaining_work();
+  for (const auto& q : ctx.queued) backlog += q.remaining_work;
   const Shadow s = shadow_for(ctx, size);
   const double queue_drain =
       backlog / (static_cast<double>(ctx.total_procs()) * speed);
@@ -51,7 +51,7 @@ std::vector<Allocation> BackfillStrategy::schedule(const SchedulerContext& ctx) 
   int free_procs = ctx.free_procs();
 
   // Head of queue starts if it fits.
-  const auto* head = ctx.queued.front();
+  const auto* head = ctx.queued.front().job;
   const int head_size = request_size(ctx, head->contract());
   if (head_size <= free_procs) {
     out.push_back(Allocation{head->id(), head_size});
@@ -60,7 +60,7 @@ std::vector<Allocation> BackfillStrategy::schedule(const SchedulerContext& ctx) 
     // the strategy simple — the next event re-runs schedule() and promotes
     // further jobs. Start what fits greedily in FCFS order below.
     for (std::size_t i = 1; i < ctx.queued.size(); ++i) {
-      const auto* j = ctx.queued[i];
+      const auto* j = ctx.queued[i].job;
       const int size = request_size(ctx, j->contract());
       if (size > free_procs) break;
       out.push_back(Allocation{j->id(), size});
@@ -69,20 +69,21 @@ std::vector<Allocation> BackfillStrategy::schedule(const SchedulerContext& ctx) 
     return out;
   }
 
-  // Head blocked: compute its reservation and backfill around it.
+  // Head blocked: compute its reservation and backfill around it. Every
+  // request is at least one processor, so nothing fits once none is free.
   const Shadow shadow = shadow_for(ctx, head_size);
   int spare_at_shadow = shadow.spare;
-  for (std::size_t i = 1; i < ctx.queued.size(); ++i) {
-    const auto* j = ctx.queued[i];
-    const int size = request_size(ctx, j->contract());
+  for (std::size_t i = 1; i < ctx.queued.size() && free_procs > 0; ++i) {
+    const QueuedJob& q = ctx.queued[i];
+    const int size = request_size(ctx, q.job->contract());
     if (size > free_procs) continue;
     const double finish =
-        ctx.now + j->contract().efficiency.time_to_complete(j->remaining_work(), size) /
-                      speed;
+        ctx.now +
+        q.job->contract().efficiency.time_to_complete(q.remaining_work, size) / speed;
     const bool before_shadow = finish <= shadow.time;
     const bool within_spare = size <= spare_at_shadow;
     if (before_shadow || within_spare) {
-      out.push_back(Allocation{j->id(), size});
+      out.push_back(Allocation{q.job->id(), size});
       free_procs -= size;
       if (!before_shadow) spare_at_shadow -= size;
     }

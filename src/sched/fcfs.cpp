@@ -33,14 +33,14 @@ int FcfsStrategy::request_size(const SchedulerContext& ctx,
 AdmissionDecision FcfsStrategy::admit(const SchedulerContext& ctx,
                                       const qos::QosContract& contract) {
   if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
+    return AdmissionDecision::rejected(RejectReason::kLargerThanMachine);
   }
   const int size = request_size(ctx, contract);
   // Completion estimate: all queued work drains at full machine rate, then
   // this job runs at its fixed size. Crude, as a real FCFS queue estimate is.
   double backlog = 0.0;
   for (const auto* j : ctx.running) backlog += j->remaining_work();
-  for (const auto* j : ctx.queued) backlog += j->remaining_work();
+  for (const auto& q : ctx.queued) backlog += q.remaining_work;
   const double drain =
       backlog / (static_cast<double>(ctx.total_procs()) *
                  (ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0));
@@ -54,10 +54,10 @@ std::vector<Allocation> FcfsStrategy::schedule(const SchedulerContext& ctx) {
   int free_procs = ctx.free_procs();
   // Strict FCFS: start queued jobs in order while they fit; stop at the
   // first that does not.
-  for (const auto* j : ctx.queued) {
-    const int size = request_size(ctx, j->contract());
+  for (const auto& q : ctx.queued) {
+    const int size = request_size(ctx, q.job->contract());
     if (size > free_procs) break;
-    out.push_back(Allocation{j->id(), size});
+    out.push_back(Allocation{q.job->id(), size});
     free_procs -= size;
   }
   return out;

@@ -26,10 +26,10 @@ cluster::GanttChart PayoffStrategy::commitments(const SchedulerContext& ctx,
     if (finish > ctx.now) gantt.reserve(ctx.now, finish, floor_procs);
   }
   const double speed = speed_of(ctx);
-  for (const auto* j : ctx.queued) {
-    const int procs = std::min(j->contract().min_procs, gantt.capacity());
+  for (const auto& q : ctx.queued) {
+    const int procs = std::min(q.min_procs, gantt.capacity());
     const double runtime =
-        j->contract().efficiency.time_to_complete(j->remaining_work(), procs) / speed;
+        q.job->contract().efficiency.time_to_complete(q.remaining_work, procs) / speed;
     const double start = gantt.earliest_fit(ctx.now, runtime, procs, horizon);
     if (start < horizon) gantt.reserve(start, start + runtime, procs);
   }
@@ -86,7 +86,7 @@ double PayoffStrategy::estimate_displacement_loss(const SchedulerContext& ctx,
 AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
                                         const qos::QosContract& contract) {
   if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
+    return AdmissionDecision::rejected(RejectReason::kLargerThanMachine);
   }
   const double speed = speed_of(ctx);
   const double horizon = ctx.now + std::max(params_.lookahead, 0.0) +
@@ -98,7 +98,7 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
   const double start =
       gantt.earliest_fit(ctx.now, runtime_min, contract.min_procs, horizon);
   if (start > window_end) {
-    return AdmissionDecision::rejected("no window within lookahead");
+    return AdmissionDecision::rejected(RejectReason::kNoWindow);
   }
 
   // Completion promise: assume the job runs at the larger of min_procs and
@@ -112,11 +112,11 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
 
   const double payoff = contract.payoff.value_at(completion);
   if (payoff <= 0.0) {
-    return AdmissionDecision::rejected("unprofitable at projected completion");
+    return AdmissionDecision::rejected(RejectReason::kUnprofitable);
   }
   const double loss = estimate_displacement_loss(ctx, contract, start, runtime);
   if (payoff < loss + params_.admission_threshold) {
-    return AdmissionDecision::rejected("payoff does not compensate inflicted loss");
+    return AdmissionDecision::rejected(RejectReason::kLossNotCompensated);
   }
   return AdmissionDecision::accepted(completion);
 }
@@ -132,7 +132,7 @@ std::vector<Allocation> PayoffStrategy::schedule(const SchedulerContext& ctx) {
   std::vector<Keyed> jobs;
   jobs.reserve(ctx.running.size() + ctx.queued.size());
   for (const auto* j : ctx.running) jobs.push_back({priority(*j, ctx.now), j});
-  for (const auto* j : ctx.queued) jobs.push_back({priority(*j, ctx.now), j});
+  for (const auto& q : ctx.queued) jobs.push_back({priority(*q.job, ctx.now), q.job});
   std::stable_sort(jobs.begin(), jobs.end(), [](const Keyed& a, const Keyed& b) {
     return a.priority > b.priority;
   });

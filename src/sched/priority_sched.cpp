@@ -28,7 +28,7 @@ double PriorityStrategy::usage_of(UserId user) const {
 AdmissionDecision PriorityStrategy::admit(const SchedulerContext& ctx,
                                           const qos::QosContract& contract) {
   if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
+    return AdmissionDecision::rejected(RejectReason::kLargerThanMachine);
   }
   // Intranet pools accept everything; priorities settle who runs when.
   // Completion estimate: equal share among live jobs of this or higher
@@ -37,8 +37,8 @@ AdmissionDecision PriorityStrategy::admit(const SchedulerContext& ctx,
   for (const auto* j : ctx.running) {
     if (j->contract().priority >= contract.priority) ++competitors;
   }
-  for (const auto* j : ctx.queued) {
-    if (j->contract().priority >= contract.priority) ++competitors;
+  for (const auto& q : ctx.queued) {
+    if (q.job->contract().priority >= contract.priority) ++competitors;
   }
   const int share = std::clamp(ctx.total_procs() / competitors, contract.min_procs,
                                std::min(contract.max_procs, ctx.total_procs()));
@@ -52,7 +52,7 @@ std::vector<Allocation> PriorityStrategy::schedule(const SchedulerContext& ctx) 
   jobs.reserve(ctx.running.size() + ctx.queued.size());
   jobs.insert(jobs.end(), ctx.running.begin(), ctx.running.end());
   if (params_.allow_preemption) {
-    jobs.insert(jobs.end(), ctx.queued.begin(), ctx.queued.end());
+    for (const auto& q : ctx.queued) jobs.push_back(q.job);
   }
   // Order by effective priority, then submission order (job id).
   std::stable_sort(jobs.begin(), jobs.end(),
@@ -96,7 +96,9 @@ std::vector<Allocation> PriorityStrategy::schedule(const SchedulerContext& ctx) 
   if (!params_.allow_preemption) {
     // Without preemption, queued jobs only start into leftover capacity in
     // priority order.
-    std::vector<const job::Job*> waiting{ctx.queued.begin(), ctx.queued.end()};
+    std::vector<const job::Job*> waiting;
+    waiting.reserve(ctx.queued.size());
+    for (const auto& q : ctx.queued) waiting.push_back(q.job);
     std::stable_sort(waiting.begin(), waiting.end(),
                      [this](const job::Job* a, const job::Job* b) {
                        const double pa = effective_priority(*a);

@@ -1,16 +1,18 @@
 // Differential test of the Cluster Manager's live scheduler view.
 //
 // The CM edits its SchedulerContext in place on every submit, start,
-// vacate, completion, eviction and halt, and caches each queued job's
-// min-procs runtime for projected_utilization. Seeded random sequences of
-// those operations run on an equipartition cluster (which shrinks, expands
-// and vacates on its own as jobs come and go); after every step the view
-// must equal a brute-force rebuild from the job table, and
-// projected_utilization must equal, bit for bit, the loop that recomputes
-// every queued job's runtime.
+// vacate, completion, eviction and halt, and keeps one QueuedJob record
+// (min procs, remaining work, min-procs runtime) per queued job. Seeded
+// random sequences of those operations run on an equipartition cluster
+// (which shrinks, expands and vacates on its own as jobs come and go);
+// after every step the view must equal a brute-force rebuild from the job
+// table, every queued record must equal, bit for bit, one rebuilt from its
+// job, and projected_utilization must equal, bit for bit, the loop that
+// recomputes every queued job's runtime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -90,11 +92,23 @@ double reference_utilization(const Harness& h, double from, double to) {
   return std::min(1.0, proc_seconds / capacity);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void check_view(const Harness& h) {
   const sched::SchedulerContext& view = h.cm.context();
   EXPECT_EQ(view.now, h.now());
   ASSERT_EQ(view.running, rebuild(h, job::JobState::kRunning));
-  ASSERT_EQ(view.queued, rebuild(h, job::JobState::kQueued));
+  const auto queued = rebuild(h, job::JobState::kQueued);
+  ASSERT_EQ(view.queued.size(), queued.size());
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    const sched::QueuedJob& q = view.queued[i];
+    const job::Job& j = *queued[i];
+    const int lo = j.contract().min_procs;
+    ASSERT_EQ(q.job, &j) << "position " << i;
+    ASSERT_EQ(q.min_procs, lo) << "job " << j.id();
+    ASSERT_EQ(bits(q.remaining_work), bits(j.remaining_work())) << "job " << j.id();
+    ASSERT_EQ(bits(q.min_runtime), bits(j.time_to_finish_on(lo))) << "job " << j.id();
+  }
   ASSERT_EQ(h.cm.running_count(), view.running.size());
   ASSERT_EQ(h.cm.queued_count(), view.queued.size());
   int busy = 0;

@@ -49,7 +49,7 @@ TEST(BaselineBid, AlwaysOneWhenAdmitted) {
 TEST(BaselineBid, DeclinesWhenNotAdmitted) {
   Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
-  const auto rejected = sched::AdmissionDecision::rejected("full");
+  const auto rejected = sched::AdmissionDecision::rejected(sched::RejectReason::kLargerThanMachine);
   BaselineBidGenerator gen;
   auto ctx = f.context(contract, rejected);
   EXPECT_FALSE(gen.multiplier(ctx).has_value());

@@ -99,7 +99,7 @@ TEST(FuturesBid, RisingMarketRaisesBid) {
 
 TEST(FuturesBid, DeclinesWhenLocalDeclines) {
   FuturesBidGenerator gen;
-  const auto rejected = sched::AdmissionDecision::rejected("full");
+  const auto rejected = sched::AdmissionDecision::rejected(sched::RejectReason::kLargerThanMachine);
   BidContext ctx;
   ctx.admission = &rejected;
   EXPECT_FALSE(gen.multiplier(ctx).has_value());

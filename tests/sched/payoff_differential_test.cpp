@@ -34,7 +34,8 @@ BruteForceChart reference_commitments(const SchedulerContext& ctx, double horizo
     if (finish > ctx.now) gantt.reserve(ctx.now, finish, floor_procs);
   }
   const double speed = speed_of(ctx);
-  for (const auto* j : ctx.queued) {
+  for (const auto& q : ctx.queued) {
+    const job::Job* j = q.job;
     const int procs = std::min(j->contract().min_procs, gantt.capacity);
     const double runtime =
         j->contract().efficiency.time_to_complete(j->remaining_work(), procs) / speed;
@@ -72,7 +73,7 @@ AdmissionDecision reference_admit(const PayoffStrategyParams& params,
                                   const SchedulerContext& ctx,
                                   const qos::QosContract& contract) {
   if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
+    return AdmissionDecision::rejected(RejectReason::kLargerThanMachine);
   }
   const double speed = speed_of(ctx);
   const double horizon = ctx.now + std::max(params.lookahead, 0.0) +
@@ -83,7 +84,7 @@ AdmissionDecision reference_admit(const PayoffStrategyParams& params,
   const double start =
       gantt.earliest_fit(ctx.now, runtime_min, contract.min_procs, horizon);
   if (start > window_end) {
-    return AdmissionDecision::rejected("no window within lookahead");
+    return AdmissionDecision::rejected(RejectReason::kNoWindow);
   }
   const int spare = gantt.capacity - gantt.peak_committed(start, start + runtime_min);
   const int procs = std::clamp(contract.min_procs + std::max(0, spare),
@@ -93,11 +94,11 @@ AdmissionDecision reference_admit(const PayoffStrategyParams& params,
   const double completion = start + runtime;
   const double payoff = contract.payoff.value_at(completion);
   if (payoff <= 0.0) {
-    return AdmissionDecision::rejected("unprofitable at projected completion");
+    return AdmissionDecision::rejected(RejectReason::kUnprofitable);
   }
   const double loss = reference_displacement_loss(params, ctx, contract, start, runtime);
   if (payoff < loss + params.admission_threshold) {
-    return AdmissionDecision::rejected("payoff does not compensate inflicted loss");
+    return AdmissionDecision::rejected(RejectReason::kLossNotCompensated);
   }
   return AdmissionDecision::accepted(completion);
 }
@@ -106,7 +107,7 @@ std::vector<Allocation> reference_schedule(const SchedulerContext& ctx) {
   const double speed = speed_of(ctx);
   std::vector<const job::Job*> jobs;
   jobs.insert(jobs.end(), ctx.running.begin(), ctx.running.end());
-  jobs.insert(jobs.end(), ctx.queued.begin(), ctx.queued.end());
+  for (const auto& q : ctx.queued) jobs.push_back(q.job);
   std::stable_sort(jobs.begin(), jobs.end(), [&](const job::Job* a, const job::Job* b) {
     return PayoffStrategy::priority(*a, ctx.now) > PayoffStrategy::priority(*b, ctx.now);
   });
@@ -210,7 +211,7 @@ struct RandomCluster {
     for (std::int64_t i = 0; i < queued; ++i) {
       auto& j = jobs.emplace_back(JobId{jobs.size() + 1}, UserId{1}, next_contract(), 0.0);
       j.mark_queued();
-      ctx.queued.push_back(&j);
+      ctx.queued.push_back(QueuedJob::of(j));
     }
   }
 };
@@ -221,7 +222,7 @@ TEST_P(PayoffDifferential, MatchesReferenceAdmissionAndSchedule) {
   Rng rng{GetParam() * 7919 + 5};
   PayoffStrategyParams no_lookahead;
   no_lookahead.lookahead = 0.0;
-  std::map<std::string, int> outcomes;  // reason ("" = accepted) -> count
+  std::map<RejectReason, int> outcomes;  // kNone = accepted
   for (int round = 0; round < 40; ++round) {
     SCOPED_TRACE("seed " + std::to_string(GetParam()) + " round " +
                  std::to_string(round));
@@ -234,7 +235,7 @@ TEST_P(PayoffDifferential, MatchesReferenceAdmissionAndSchedule) {
             random_contract(rng, ctx.total_procs() * (q == 0 ? 8 : 1), ctx.now);
         const AdmissionDecision got = strategy.admit(ctx, contract);
         const AdmissionDecision want = reference_admit(params, ctx, contract);
-        ASSERT_EQ(got.accept, want.accept) << want.reason;
+        ASSERT_EQ(got.accept, want.accept) << name(want.reason);
         ASSERT_EQ(got.estimated_completion, want.estimated_completion);
         ASSERT_EQ(got.reason, want.reason);
         ++outcomes[got.reason];
@@ -250,9 +251,9 @@ TEST_P(PayoffDifferential, MatchesReferenceAdmissionAndSchedule) {
   }
   // The random states reach every admission outcome but the rare
   // displacement-loss rejection.
-  for (const char* reason : {"", "job larger than machine", "no window within lookahead",
-                             "unprofitable at projected completion"}) {
-    EXPECT_GT(outcomes[reason], 0) << "never saw '" << reason << "'";
+  for (const RejectReason reason : {RejectReason::kNone, RejectReason::kLargerThanMachine,
+                                    RejectReason::kNoWindow, RejectReason::kUnprofitable}) {
+    EXPECT_GT(outcomes[reason], 0) << "never saw '" << name(reason) << "'";
   }
 }
 
